@@ -15,12 +15,19 @@ bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
 
 # verify is the full pre-submit recipe referenced by README.md: vet every
-# package and exercise every concurrent path under the race detector.
+# package, exercise every concurrent path under the race detector, run the
+# suite in shuffled order (tests must not lean on their neighbours), and run
+# the three goroutine-drain tests each on its own, where no earlier test can
+# raise their baseline.
 # Note: the -race run takes several minutes on small machines; scope it to
 # touched packages while iterating ($(GO) test -race ./internal/<pkg>/).
+DRAIN_TESTS = TestRoundLongPollShutdownReleasesWaiters TestAsyncShutdownMidQuorumReleasesWaiters TestRecoveringRetryAfterRecover
+
 verify:
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(GO) test -shuffle=on -count=1 ./...
+	for t in $(DRAIN_TESTS); do $(GO) test -count=1 -run "^$$t$$" ./internal/fednet/ || exit 1; done
 	$(MAKE) verify-net
 	$(MAKE) verify-adv
 	$(MAKE) verify-scale
@@ -45,11 +52,12 @@ verify-faults:
 # trainer, across 3 fixed seeds, model/curve/archive/phi compared bit for
 # bit), the straggler-deadline survivor equivalence, retry transparency
 # under injected request loss, and cancellation promptness — plus go vet on
-# the package. -count=1 defeats the test cache so the wire is actually
-# exercised.
+# the package, plus the exactly-once failover test (an update the root acked
+# on an edge-mode round folds beside its edge's survivors-only partial).
+# -count=1 defeats the test cache so the wire is actually exercised.
 verify-net:
 	$(GO) vet ./internal/fednet/
-	$(GO) test -count=1 -run 'Loopback|LocalSource|Straggler|Retry|Cancel|Wire|Score' ./internal/fednet/
+	$(GO) test -count=1 -run 'Loopback|LocalSource|Straggler|Retry|Cancel|Wire|Score|TestEdgeFailoverAckedUpdateFolded' ./internal/fednet/
 
 # verify-scale runs the 100k-participant scaling gate: deterministic cohort
 # sampling (3 seeds x rerun and crash/resume bit-identity, sampling composed

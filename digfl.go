@@ -52,7 +52,8 @@
 // takes the component's default — serial everywhere except the secure
 // protocol, whose Paillier arithmetic is compute-bound and defaults to
 // GOMAXPROCS. Every component resolves its pool size through the single
-// Runtime.Resolve rule.
+// Runtime.Resolve rule, the secure protocol after mapping its own zero
+// default.
 //
 // Migration note: the pre-Runtime knobs — HFLConfig.Parallel and
 // HFLConfig.Workers (the historical bool+cap pair), HFLEstimator.Workers,
@@ -693,16 +694,6 @@ type (
 	// HFLAggregator is the aggregation plugin interface: it returns the
 	// round's global update or an error that fails the run.
 	HFLAggregator = hfl.Aggregator
-	// HFLAggregatorE is the historical name of the error-returning
-	// aggregation interface, which is now the only one.
-	//
-	// Deprecated: use HFLAggregator.
-	HFLAggregatorE = hfl.AggregatorE
-	// HFLAggregatorFunc adapts the legacy panicking aggregate function
-	// shape to the error-returning interface.
-	//
-	// Deprecated: implement HFLAggregator directly.
-	HFLAggregatorFunc = hfl.AggregatorFunc
 	// HFLScreener vets a round's collected updates before aggregation,
 	// returning the positions to drop.
 	HFLScreener = hfl.Screener

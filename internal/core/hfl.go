@@ -91,7 +91,7 @@ func NewHFLEstimator(n, p int, mode Mode, hvp HVPProvider) *HFLEstimator {
 // workers resolves the effective pool size through the unified
 // obs.Runtime.Resolve rule (0 or 1 serial, > 1 pool, negative GOMAXPROCS).
 func (e *HFLEstimator) workers() int {
-	return e.Runtime.Resolve(0)
+	return e.Runtime.Resolve()
 }
 
 // Observe ingests one training epoch and returns the per-epoch contributions

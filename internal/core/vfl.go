@@ -58,9 +58,9 @@ type VFLEstimator struct {
 }
 
 // workers resolves the effective pool size through the unified
-// obs.Runtime.Resolve rule; the VFL estimator has no legacy field.
+// obs.Runtime.Resolve rule.
 func (e *VFLEstimator) workers() int {
-	return e.Runtime.Resolve(0)
+	return e.Runtime.Resolve()
 }
 
 // NewVFLEstimator creates an estimator over the given per-participant

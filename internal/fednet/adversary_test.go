@@ -72,7 +72,8 @@ func TestUpdateHandlerRejections(t *testing.T) {
 		t: 1, theta: make([]float64, 3),
 		slots:  map[int]int{0: 0, 1: 1},
 		order:  []int{0, 1},
-		deltas: make([][]float64, 2),
+		fold:   hfl.NewRetainFold(3, 2),
+		folded: make([]bool, 2),
 	}
 	c.mu.Unlock()
 

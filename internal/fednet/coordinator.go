@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -71,12 +70,10 @@ type Coordinator struct {
 	// Engine, when non-nil, is a pluggable contribution engine
 	// (internal/shapley) that observes every epoch under the coordinator's
 	// lock; /v1/score reports its name, running φ totals, and utility-eval
-	// cost alongside the DIG-FL estimator's attribution. Setting
-	// Cfg.Engine is equivalent — the coordinator promotes a config-carried
-	// engine here so all observation is race-free against score reads.
-	// Engines need the round buffer's raw deltas, so Engine cannot compose
-	// with Stream or Edges; engine state is not journaled, so Engine
-	// cannot compose with Journal or Recover.
+	// cost alongside the DIG-FL estimator's attribution. Engines need the
+	// round buffer's raw deltas, so Engine cannot compose with Stream or
+	// Edges; engine state is not journaled, so Engine cannot compose with
+	// Journal or Recover.
 	Engine shapley.Engine
 	// RoundDeadline bounds how long a round stays open once broadcast.
 	// Participants that have not reported when it expires are dropped from
@@ -134,9 +131,11 @@ type Coordinator struct {
 	// disables re-solicitation and keeps the pre-failover semantics: a dead
 	// edge's whole cohort misses the round at the deadline.
 	FailoverGrace time.Duration
-	// EdgeWidth overrides the edge cohort width used to reconstruct a dead
-	// edge's segment from direct submissions (global index i belongs to
-	// edge i/EdgeWidth); 0 means ceil(N/Edges), the TreeLoopback partition.
+	// EdgeWidth overrides the edge cohort width of an edge-mode round's
+	// segments: global index i belongs to edge i/EdgeWidth (the last edge
+	// takes any overflow), an edge's partial may claim only its own members,
+	// and a member's direct submission folds into its edge's segment. 0
+	// means ceil(N/Edges), the TreeLoopback partition.
 	EdgeWidth int
 	// Async, when non-nil (requires Stream), switches the round loop to the
 	// asynchronous buffered commit policy (hfl.AsyncConfig): each round's
@@ -186,44 +185,33 @@ type openRound struct {
 	deadline time.Time // zero = none
 	slots    map[int]int
 	order    []int
-	deltas   [][]float64
-	got      int
 	closed   bool
 
-	// Streaming-round state (Coordinator.Stream): the fold replaces the
-	// deltas buffer, folded tracks which slots committed, valGrad is the
-	// round's ∇loss^v(θ_{t-1}) (served to edges via ?vg=1), and norms
-	// collects pre-clip update norms for IngestScreen.ObserveNorms.
+	// The round's one fold: every accepted update — and in edge mode every
+	// edge partial — commits into it exactly once. folded marks the
+	// committed slots (the idempotence test of every round mode) and got
+	// counts them (the close condition). valGrad is the round's
+	// ∇loss^v(θ_{t-1}) (served to edges via ?vg=1), and norms collects
+	// pre-clip update norms for IngestScreen.ObserveNorms.
 	fold    hfl.Fold
 	folded  []bool
+	got     int
 	valGrad []float64
 	norms   []float64
 
-	// Edge-mode state (Coordinator.Edges): per-edge unscaled partial sums,
-	// their slot positions, and their validation dot products. The root
-	// merges them in edge order at round close.
-	parts    [][]float64
-	partIdx  [][]int
-	partDots [][]float64
-
-	// Edge-failover state: direct updates accepted on an edge-mode round
-	// after the member's edge died, keyed by slot, with their validation
-	// dot products. The close-time merge reconstructs the dead edge's
-	// segment from them. openedAt arms FailoverGrace (zero when
-	// re-solicitation is off).
-	direct     map[int][]float64
-	directDots map[int]float64
-	openedAt   time.Time
+	// Edge-mode state (Coordinator.Edges): the fold's partial-accepting
+	// view, which edges' partials committed, and the open time that arms
+	// FailoverGrace (zero when re-solicitation is off).
+	seg       *hfl.SegmentFold
+	delivered []bool
+	openedAt  time.Time
 
 	// Async-round state (Coordinator.Async): the epoch's arrival plan.
-	// order/slots/deltas cover only the schedule's fresh cohort; the round
-	// closes when every fresh member posted and the quorum cut happens in
-	// the planner's Commit.
+	// order/slots cover only the schedule's fresh cohort; the round closes
+	// when every fresh member posted and the quorum cut happens in the
+	// planner's Commit.
 	async *hfl.AsyncSchedule
 }
-
-// streaming reports whether this round folds on arrival.
-func (r *openRound) streaming() bool { return r.fold != nil || r.parts != nil }
 
 // initLocked lazily initializes the shared state; callers hold mu.
 func (c *Coordinator) initLocked() {
@@ -287,24 +275,6 @@ func (c *Coordinator) Run(ctx context.Context) (*hfl.Result, error) {
 }
 
 func (c *Coordinator) run(ctx context.Context) (*hfl.Result, error) {
-	if c.Cfg.Engine != nil {
-		// Promote a config-carried engine to the coordinator field: the
-		// trainer's unlocked Observe would race with /v1/score reads, so
-		// the coordinator observes it under c.mu instead (the trainer's
-		// copy of the config is cleared below).
-		eng, ok := c.Cfg.Engine.(shapley.Engine)
-		if !ok {
-			return nil, errors.New("fednet: Cfg.Engine must be a shapley.Engine (the coordinator reports it on /v1/score)")
-		}
-		if c.Engine != nil && c.Engine != eng {
-			return nil, errors.New("fednet: set Engine or Cfg.Engine, not both")
-		}
-		// Score handlers may already be serving; the field write needs the
-		// same lock the handler reads under.
-		c.mu.Lock()
-		c.Engine = eng
-		c.mu.Unlock()
-	}
 	if c.Engine != nil {
 		if c.Stream != nil {
 			return nil, errors.New("fednet: Engine cannot compose with Stream — engines need the round buffer's raw deltas")
@@ -374,9 +344,6 @@ func (c *Coordinator) run(ctx context.Context) (*hfl.Result, error) {
 
 	cfg := c.Cfg
 	cfg.Participants = c.N
-	// The coordinator observes a promoted engine under its lock; the
-	// trainer must not observe it a second time.
-	cfg.Engine = nil
 	// Crash recovery: resume the trainer from the journal's last closed
 	// epoch. The open round's commits (if the crash was mid-round) graft
 	// into the first Round call. Note the recovered Result.Log carries only
@@ -650,41 +617,7 @@ func (c *Coordinator) journalPartial(t, edge int, indices []int, sum, dots []flo
 // order. A deadline expiry degrades the epoch to the survivors.
 func (c *Coordinator) Round(ctx context.Context, spec *hfl.RoundSpec) (*hfl.RoundResult, error) {
 	sink := c.Cfg.Runtime.Sink
-	r := &openRound{
-		t: spec.T, lr: spec.LR, theta: spec.Theta,
-		order: spec.Active,
-		slots: make(map[int]int, len(spec.Active)),
-	}
-	for k, i := range spec.Active {
-		r.slots[i] = k
-	}
-	switch {
-	case c.Async != nil:
-		// Async round: the cohort, slots, and arrival buffer derive from the
-		// planner's schedule under the lock below (the carry-over buffer
-		// decides who is in flight). Arrivals buffer like a plain round; the
-		// quorum cut and discounted fold happen at close in the planner.
-		r.valGrad = spec.ValGrad
-	case c.Stream != nil && spec.ValGrad != nil:
-		// Streaming round: fold on arrival instead of buffering. In edge
-		// mode the fold is per-edge on the edge aggregators; the root only
-		// merges the partial sums.
-		r.valGrad = spec.ValGrad
-		r.folded = make([]bool, len(spec.Active))
-		if c.Edges > 0 {
-			r.parts = make([][]float64, c.Edges)
-			r.partIdx = make([][]int, c.Edges)
-			r.partDots = make([][]float64, c.Edges)
-			if c.FailoverGrace > 0 {
-				r.openedAt = time.Now()
-			}
-		} else {
-			r.fold = c.Stream.NewFold(len(spec.Theta), len(spec.Active), spec.ValGrad)
-			r.norms = make([]float64, 0, len(spec.Active))
-		}
-	default:
-		r.deltas = make([][]float64, len(spec.Active))
-	}
+	r := &openRound{t: spec.T, lr: spec.LR, theta: spec.Theta, valGrad: spec.ValGrad}
 	roundDeadline := c.RoundDeadline
 	if c.Async != nil && c.Async.Deadline > 0 {
 		// The async deadline is a real-failure safety valve only: a
@@ -702,19 +635,42 @@ func (c *Coordinator) Round(ctx context.Context, spec *hfl.RoundSpec) (*hfl.Roun
 
 	c.mu.Lock()
 	c.initLocked()
+	r.order = spec.Active
 	if c.asyncPlan != nil {
 		// Plan the epoch's arrivals. Schedule is a pure read of (buffer,
 		// seed), so a grafted round re-derives the exact pre-crash plan —
 		// the journaled epoch_open carries the full active set, and the
 		// carry-over buffer was reinstalled before Run's first Round call.
-		sched := c.asyncPlan.Schedule(spec.T, spec.Active)
-		r.async = sched
-		r.order = sched.Fresh
-		r.slots = make(map[int]int, len(sched.Fresh))
-		for k, i := range sched.Fresh {
-			r.slots[i] = k
+		r.async = c.asyncPlan.Schedule(spec.T, spec.Active)
+		r.order = r.async.Fresh
+	}
+	r.slots = make(map[int]int, len(r.order))
+	for k, i := range r.order {
+		r.slots[i] = k
+	}
+	r.folded = make([]bool, len(r.order))
+	p, n := len(spec.Theta), len(r.order)
+	switch {
+	case c.Async != nil || c.Stream == nil || spec.ValGrad == nil:
+		// Buffered and async rounds keep their deltas: the trainer's
+		// plugins, or the planner's quorum cut at close, need them.
+		r.fold = hfl.NewRetainFold(p, n)
+	case c.Edges > 0:
+		// Edge mode: segment e is edge e's cohort. Each edge folds its own
+		// segment and posts it as one partial; a member whose edge died
+		// reports directly and folds into the same segment here.
+		order := r.order
+		r.seg = hfl.NewSegmentFold(p, n, spec.ValGrad, func(k int) int { return c.edgeOf(order[k]) })
+		r.fold = r.seg
+		r.delivered = make([]bool, c.Edges)
+		if c.FailoverGrace > 0 {
+			r.openedAt = time.Now()
 		}
-		r.deltas = make([][]float64, len(sched.Fresh))
+	default:
+		r.fold = c.Stream.NewFold(p, n, spec.ValGrad)
+		if c.IngestScreen != nil {
+			r.norms = make([]float64, 0, n)
+		}
 	}
 	// WAL: a fresh round journals its open before it is visible to any
 	// client; a recovered round (the previous incarnation already journaled
@@ -731,11 +687,7 @@ func (c *Coordinator) Round(ctx context.Context, spec *hfl.RoundSpec) (*hfl.Roun
 		}
 	}
 	if grafted {
-		if r.async != nil {
-			c.graftAsyncLocked(r, rec)
-		} else {
-			c.graftLocked(r, rec, spec)
-		}
+		c.graftLocked(r, rec)
 	}
 	// Recovery complete: the rejoin barrier refilled and the round is
 	// republishing, so stop 503ing round traffic.
@@ -794,126 +746,47 @@ func (c *Coordinator) Round(ctx context.Context, spec *hfl.RoundSpec) (*hfl.Roun
 
 	c.mu.Lock()
 	r.closed = true
-	res := &hfl.RoundResult{}
+	fr, err := r.fold.Close()
+	if err != nil {
+		c.mu.Unlock()
+		return nil, fmt.Errorf("fednet: round %d: closing fold: %w", spec.T, err)
+	}
 	var missed []int
-	nAgg := 0
-	switch {
-	case r.async != nil:
+	for k, i := range r.order {
+		if !r.folded[k] {
+			missed = append(missed, i)
+		}
+	}
+	// A degraded round names its reporters in active order; a full one
+	// leaves Reported nil, as the trainer's fault-free epochs do.
+	res := &hfl.RoundResult{Agg: fr.Sum, Dots: fr.Dots, Deltas: fr.Deltas}
+	if len(fr.Slots) != len(r.order) || r.async != nil {
+		res.Reported = make([]int, len(fr.Slots))
+		for j, s := range fr.Slots {
+			res.Reported[j] = r.order[s]
+		}
+	}
+	nAgg := len(fr.Slots)
+	if r.async != nil {
 		// Async close: hand the physical arrivals to the planner, which cuts
 		// the quorum over them plus the due buffered entries, folds the
 		// commit set at its staleness discounts, and re-buffers (or rejects)
 		// the rest. A fresh member missing an arrival is possible only when
 		// a real deadline fired.
-		arrivals := make(map[int][]float64, r.got)
-		for k, i := range r.order {
-			if r.deltas[k] != nil {
-				arrivals[i] = r.deltas[k]
-			} else {
-				missed = append(missed, i)
-			}
+		arrivals := make(map[int][]float64, nAgg)
+		for j, i := range res.Reported {
+			arrivals[i] = fr.Deltas[j]
 		}
 		ac, err := c.asyncPlan.Commit(spec.T, len(r.theta), c.Stream, r.valGrad, r.async, arrivals)
 		if err != nil {
 			c.mu.Unlock()
 			return nil, fmt.Errorf("fednet: round %d: async commit: %w", spec.T, err)
 		}
-		res.Reported, res.Agg, res.Dots = ac.Reported, ac.Agg, ac.Dots
+		res = &hfl.RoundResult{Reported: ac.Reported, Agg: ac.Agg, Dots: ac.Dots}
 		nAgg = len(ac.Reported)
-	case r.parts != nil:
-		// Edge mode: merge the edge partials in edge order — exactly the
-		// segment-flush order of hfl.MeanStream with Seg = edge width — and
-		// apply the single 1/m scale. Dead edges whose members failed over
-		// to direct submission are reconstructed first, so the merge sees
-		// the partial the edge itself would have sent.
-		dIdx, dSum, dDots := c.reconstructSegments(r)
-		var acc []float64
-		var rep []int
-		var dots []float64
-		last := -1
-		for e := range r.parts {
-			idx, part, pdots := r.partIdx[e], r.parts[e], r.partDots[e]
-			if len(idx) == 0 && dIdx != nil && len(dIdx[e]) > 0 {
-				idx, part, pdots = dIdx[e], dSum[e], dDots[e]
-			}
-			if len(idx) == 0 {
-				continue
-			}
-			if idx[0] <= last {
-				c.mu.Unlock()
-				return nil, fmt.Errorf("fednet: round %d: edge %d slots overlap an earlier edge", spec.T, e)
-			}
-			last = idx[len(idx)-1]
-			if acc == nil {
-				acc = make([]float64, len(r.theta))
-			}
-			tensor.AXPY(1, part, acc)
-			for _, s := range idx {
-				rep = append(rep, r.order[s])
-			}
-			dots = append(dots, pdots...)
-			nAgg += len(idx)
-			// The merge copied everything out; the partial's vectors go
-			// back to the pool for the next round's ingest.
-			tensor.PutVec(part)
-			tensor.PutVec(pdots)
-			r.parts[e] = nil
-			r.partDots[e] = nil
-		}
-		if nAgg > 0 {
-			tensor.Scale(1/float64(nAgg), acc)
-			res.Agg = acc
-			res.Dots = dots
-		}
-		if nAgg != len(r.order) {
-			if rep == nil {
-				rep = []int{}
-			}
-			res.Reported = rep
-			for k, i := range r.order {
-				if !r.folded[k] {
-					missed = append(missed, i)
-				}
-			}
-		}
-	case r.fold != nil:
-		fr, err := r.fold.Close()
-		if err != nil {
-			c.mu.Unlock()
-			return nil, fmt.Errorf("fednet: round %d: closing fold: %w", spec.T, err)
-		}
-		nAgg = len(fr.Slots)
-		res.Agg, res.Dots = fr.Sum, fr.Dots
-		if nAgg != len(r.order) {
-			rep := make([]int, 0, nAgg)
-			for _, s := range fr.Slots {
-				rep = append(rep, r.order[s])
-			}
-			res.Reported = rep
-			for k, i := range r.order {
-				if !r.folded[k] {
-					missed = append(missed, i)
-				}
-			}
-		}
-		if c.IngestScreen != nil {
-			c.IngestScreen.ObserveNorms(r.norms)
-		}
-	case r.got == len(r.order):
-		res.Deltas = r.deltas
-		nAgg = r.got
-	default:
-		reported := make([]int, 0, r.got)
-		deltas := make([][]float64, 0, r.got)
-		for k, i := range r.order {
-			if r.deltas[k] != nil {
-				reported = append(reported, i)
-				deltas = append(deltas, r.deltas[k])
-			} else {
-				missed = append(missed, i)
-			}
-		}
-		res.Deltas, res.Reported = deltas, reported
-		nAgg = r.got
+	}
+	if r.norms != nil {
+		c.IngestScreen.ObserveNorms(r.norms)
 	}
 	c.lastRes = res
 	c.bcastLocked()
@@ -931,138 +804,120 @@ func (c *Coordinator) Round(ctx context.Context, spec *hfl.RoundSpec) (*hfl.Roun
 // every acknowledged update already committed, so clients that saw an ack
 // never recompute and the closed round is bit-identical to an
 // uninterrupted one. The fold's state is a pure function of the committed
-// (slot, delta) set, so re-adding in ascending slot order reproduces it.
-// Callers hold mu.
-func (c *Coordinator) graftLocked(r *openRound, rec *walReplay, spec *hfl.RoundSpec) {
-	switch {
-	case r.parts != nil:
-		for e, p := range rec.partials {
-			if e < 0 || e >= len(r.parts) || r.partIdx[e] != nil {
-				continue
-			}
-			slots := make([]int, len(p.indices))
-			ok := true
-			for j, i := range p.indices {
-				k, active := r.slots[i]
-				if !active {
-					ok = false
-					break
-				}
-				slots[j] = k
-			}
-			if !ok {
-				continue
-			}
-			for _, k := range slots {
-				r.folded[k] = true
-			}
-			r.partIdx[e] = slots
-			if len(slots) > 0 {
-				r.parts[e] = p.sum
-				r.partDots[e] = p.dots
-			}
-			r.got += len(slots)
-		}
-		for i, delta := range rec.updates {
-			k, active := r.slots[i]
-			if !active || r.folded[k] {
-				continue
-			}
-			if r.direct == nil {
-				r.direct = make(map[int][]float64)
-				r.directDots = make(map[int]float64)
-			}
-			r.direct[k] = delta
-			r.directDots[k] = tensor.Dot(spec.ValGrad, delta)
-			r.folded[k] = true
-			r.got++
-		}
-	case r.fold != nil:
-		slots := make([]int, 0, len(rec.updates))
-		byIdx := make(map[int][]float64, len(rec.updates))
-		for i, delta := range rec.updates {
-			if k, active := r.slots[i]; active && !r.folded[k] {
-				slots = append(slots, k)
-				byIdx[k] = delta
-			}
-		}
-		sort.Ints(slots)
-		for _, k := range slots {
-			if err := r.fold.Add(k, byIdx[k]); err != nil {
-				// The journaled commits folded once already; a replay
-				// failure means the journal and the fold disagree on
-				// shape, which Recover's validation precludes.
-				continue
-			}
-			r.folded[k] = true
-			r.got++
-		}
-	default:
-		for i, delta := range rec.updates {
-			if k, active := r.slots[i]; active && r.deltas[k] == nil {
-				r.deltas[k] = delta
-				r.got++
-			}
-		}
-	}
-}
-
-// graftAsyncLocked reinstalls a replayed journal's open async round: the
-// round's late admits re-enter the planner's buffer (after Schedule, which
-// must see the pre-admit buffer the epoch opened with), and the journaled
-// fresh arrivals graft into their slots. The close-time Commit is a pure
-// function of (buffer, arrivals, seed), so the recovered round commits
-// bit-identically to an uninterrupted one. Callers hold mu.
-func (c *Coordinator) graftAsyncLocked(r *openRound, rec *walReplay) {
+// set, and the journal holds each committed slot exactly once, so the
+// commits replay through the ingest path's commit calls in any order. An
+// async round's late admits re-enter the planner's buffer after Schedule,
+// which must see the pre-admit buffer the epoch opened with. Callers hold
+// mu.
+func (c *Coordinator) graftLocked(r *openRound, rec *walReplay) {
 	for i, la := range rec.lateAdmits {
 		c.asyncPlan.Admit(i, la.origin, r.t, la.delta)
 	}
-	for i, delta := range rec.updates {
-		if k, active := r.slots[i]; active && r.deltas[k] == nil {
-			r.deltas[k] = delta
-			r.got++
+	for e, p := range rec.partials {
+		if slots, werr := c.partialSlotsLocked(r, e, p.indices); werr == nil {
+			// Recover's shape validation precludes a refusal here.
+			_ = c.commitPartialLocked(r, e, slots, p.sum, p.dots)
+		}
+	}
+	for k, i := range r.order {
+		if delta, ok := rec.updates[i]; ok && !r.folded[k] {
+			_ = c.commitLocked(r, k, delta)
 		}
 	}
 }
 
-// reconstructSegments groups an edge-mode round's direct submissions into
-// their dead edge's segment, rebuilding the partial the edge would have
-// folded: member deltas summed in ascending slot order from a zero
-// accumulator, dots in the same order — bit-identical to the edge's own
-// fold over the same reporters. Returns nil when no one failed over.
-// Callers hold mu.
-func (c *Coordinator) reconstructSegments(r *openRound) (idx [][]int, sum, dots [][]float64) {
-	if len(r.direct) == 0 {
-		return nil, nil, nil
+// commitLocked folds one accepted update into the round exactly once. Ingest
+// calls it after journaling the update, WAL graft without the append.
+// Callers hold mu and have checked that slot k is unfolded.
+func (c *Coordinator) commitLocked(r *openRound, k int, delta []float64) error {
+	if r.norms != nil {
+		norm, clipped := c.IngestScreen.ClipNow(delta)
+		r.norms = append(r.norms, norm)
+		if clipped {
+			obs.Emit(c.Cfg.Runtime.Sink, obs.Event{Kind: obs.KindUpdateClipped, T: r.t,
+				Part: r.order[k], Value: norm})
+		}
 	}
+	if err := addReleasing(r.fold, k, delta); err != nil {
+		return err
+	}
+	r.folded[k] = true
+	r.got++
+	return nil
+}
+
+// addReleasing adds delta at slot and returns it to the tensor pool when
+// the fold consumed it on the spot: one the fold parked or retains — or any
+// delta of a fold that cannot report what it holds — stays off the pool.
+func addReleasing(f hfl.Fold, slot int, delta []float64) error {
+	pend, canPend := f.(interface{ Pending() int })
+	before := 0
+	if canPend {
+		before = pend.Pending()
+	}
+	if err := f.Add(slot, delta); err != nil {
+		return err
+	}
+	if canPend && pend.Pending() <= before {
+		tensor.PutVec(delta)
+	}
+	return nil
+}
+
+// commitPartialLocked folds one edge partial — its slots already validated
+// by partialSlotsLocked — exactly once, recycling the vectors when the
+// fold consumed them on the spot. Callers hold mu.
+func (c *Coordinator) commitPartialLocked(r *openRound, edge int, slots []int, sum, dots []float64) error {
+	before := r.seg.Pending()
+	if err := r.seg.AddPartial(slots, sum, dots); err != nil {
+		return err
+	}
+	if r.seg.Pending() <= before {
+		tensor.PutVec(sum)
+		tensor.PutVec(dots)
+	}
+	for _, k := range slots {
+		r.folded[k] = true
+	}
+	r.got += len(slots)
+	r.delivered[edge] = true
+	return nil
+}
+
+// edgeOf maps a global participant index to its edge-mode segment.
+func (c *Coordinator) edgeOf(i int) int {
 	width := c.EdgeWidth
 	if width <= 0 {
 		width = (c.N + c.Edges - 1) / c.Edges
 	}
-	ne := len(r.parts)
-	idx = make([][]int, ne)
-	sum = make([][]float64, ne)
-	dots = make([][]float64, ne)
-	slots := make([]int, 0, len(r.direct))
-	for k := range r.direct {
-		slots = append(slots, k)
-	}
-	sort.Ints(slots)
-	for _, k := range slots {
-		e := r.order[k] / width
-		if e >= ne {
-			e = ne - 1
+	return min(i/width, c.Edges-1)
+}
+
+// partialSlotsLocked maps an edge partial's member indices to slots,
+// refusing a partial the fold must not take: a member outside the round or
+// the edge's segment, indices out of slot order (edge cohorts are
+// contiguous slot ranges), or a slot already folded. The last is the
+// exactly-once rule — a member that failed over and reported directly
+// supersedes its edge's partial (409 stale_round, benign for a recovering
+// edge). Callers hold mu.
+func (c *Coordinator) partialSlotsLocked(r *openRound, edge int, indices []int) ([]int, *WireError) {
+	slots := make([]int, len(indices))
+	for j, i := range indices {
+		k, active := r.slots[i]
+		switch {
+		case !active || c.edgeOf(i) != edge:
+			return nil, &WireError{Status: http.StatusBadRequest,
+				Msg: fmt.Sprintf("edge %d claims participant %d outside its active cohort", edge, i)}
+		case r.folded[k]:
+			return nil, &WireError{Status: http.StatusConflict, Code: CodeStaleRound,
+				Msg: fmt.Sprintf("participant %d already folded into round %d", i, r.t)}
+		case j > 0 && k <= slots[j-1]:
+			return nil, &WireError{Status: http.StatusBadRequest,
+				Msg: fmt.Sprintf("edge %d indices out of slot order", edge)}
 		}
-		if sum[e] == nil {
-			sum[e] = make([]float64, len(r.theta))
-		}
-		tensor.AXPY(1, r.direct[k], sum[e])
-		idx[e] = append(idx[e], k)
-		dots[e] = append(dots[e], r.directDots[k])
-		tensor.PutVec(r.direct[k])
-		delete(r.direct, k)
+		slots[j] = k
 	}
-	return idx, sum, dots
+	return slots, nil
 }
 
 // Handler returns the coordinator's wire-protocol handler, mountable on
@@ -1270,7 +1125,7 @@ func (c *Coordinator) handleRound(w http.ResponseWriter, req *http.Request) {
 		var graceTimer *time.Timer
 		var graceCh <-chan time.Time
 		if hasIdx && c.FailoverGrace > 0 {
-			if r := c.round; r != nil && !r.closed && r.parts != nil && r.t == t-1 {
+			if r := c.round; r != nil && !r.closed && r.delivered != nil && r.t == t-1 {
 				if k, active := r.slots[pollIdx]; active && !r.folded[k] {
 					rem := time.Until(r.openedAt.Add(c.FailoverGrace))
 					if rem <= 0 {
@@ -1351,8 +1206,8 @@ func (c *Coordinator) handleUpdate(w http.ResponseWriter, req *http.Request) {
 // ingestUpdate runs the codec-independent acceptance pipeline for one
 // update: slot and duplicate checks from the header alone, then the bulk
 // decode (only once the update is known to be wanted), then the shape and
-// finiteness screens, then the streaming fold or round-buffer commit.
-// Vectors the round does not retain go back to the tensor pool.
+// finiteness screens, then the journal append and the round's one commit.
+// Vectors the round does not hold go back to the tensor pool.
 func (c *Coordinator) ingestUpdate(w http.ResponseWriter, t, index int, frameKind obs.Kind, decode func() ([]float64, error)) {
 	sink := c.Cfg.Runtime.Sink
 	c.mu.Lock()
@@ -1387,7 +1242,7 @@ func (c *Coordinator) ingestUpdate(w http.ResponseWriter, t, index int, frameKin
 	case !active:
 		writeJSON(w, http.StatusOK, updateReply{Reason: "not-active"})
 		return
-	case r.streaming() && r.folded[k], !r.streaming() && r.deltas[k] != nil:
+	case r.folded[k]:
 		// Idempotent: a retried submission (the first ack was lost) is
 		// acknowledged without overwriting — and without re-decoding the
 		// duplicate payload. On an edge-mode round this also covers a
@@ -1410,83 +1265,35 @@ func (c *Coordinator) ingestUpdate(w http.ResponseWriter, t, index int, frameKin
 		obs.Emit(sink, obs.Event{Kind: obs.KindUpdateRejected, T: t, Part: index})
 		writeCodedError(w, http.StatusUnprocessableEntity, CodeBadShape,
 			"delta has %d params, model has %d", len(delta), len(r.theta))
+		return
 	case !finiteVec(delta):
 		tensor.PutVec(delta)
 		obs.Emit(sink, obs.Event{Kind: obs.KindUpdateRejected, T: t, Part: index})
 		writeCodedError(w, http.StatusUnprocessableEntity, CodeNonFinite,
 			"delta carries non-finite values")
-	case r.parts != nil:
-		// Edge-mode direct submission: the member's edge died, so it fell
-		// back to the root (transport failure, or the re-solicitation
-		// path). Journal, then commit into the round's direct set; the
-		// close-time merge reconstructs the dead edge's segment.
-		if err := c.journalUpdate(t, index, delta); err != nil {
-			tensor.PutVec(delta)
-			c.bcastLocked()
-			panic(http.ErrAbortHandler)
-		}
-		if r.direct == nil {
-			r.direct = make(map[int][]float64)
-			r.directDots = make(map[int]float64)
-		}
-		r.direct[k] = delta
-		r.directDots[k] = tensor.Dot(r.valGrad, delta)
-		r.folded[k] = true
-		r.got++
-		obs.Emit(sink, obs.Event{Kind: obs.KindEdgeFailover, T: t, Part: index})
-		c.bcastLocked()
-		writeJSON(w, http.StatusOK, updateReply{Accepted: true})
-	case r.fold != nil:
-		// Journal before the fold consumes the delta: an update the
-		// journal cannot replay must never be acknowledged, so a failed
-		// append drops the connection without a reply (the client retries
-		// against the aborting run and gets 503/stale, never a false ack).
-		if err := c.journalUpdate(t, index, delta); err != nil {
-			tensor.PutVec(delta)
-			c.bcastLocked()
-			panic(http.ErrAbortHandler)
-		}
-		if c.IngestScreen != nil {
-			norm, clipped := c.IngestScreen.ClipNow(delta)
-			r.norms = append(r.norms, norm)
-			if clipped {
-				obs.Emit(sink, obs.Event{Kind: obs.KindUpdateClipped, T: t,
-					Part: index, Value: norm})
-			}
-		}
-		// An in-order Add consumes the delta immediately; an out-of-order
-		// one parks it inside the fold. Recycle only on consumption —
-		// Pending tells the two apart (a fold without it keeps the slice).
-		pend, canPend := r.fold.(interface{ Pending() int })
-		before := 0
-		if canPend {
-			before = pend.Pending()
-		}
-		if err := r.fold.Add(k, delta); err != nil {
-			writeError(w, http.StatusInternalServerError, "folding update: %v", err)
-			return
-		}
-		if canPend && pend.Pending() <= before {
-			tensor.PutVec(delta)
-		}
-		r.folded[k] = true
-		r.got++
-		c.bcastLocked()
-		writeJSON(w, http.StatusOK, updateReply{Accepted: true})
-	default:
-		// Buffered round (including async arrivals): the epoch retains the
-		// delta (estimator, archive, screens, quorum cut), so it stays off
-		// the pool.
-		if err := c.journalUpdate(t, index, delta); err != nil {
-			tensor.PutVec(delta)
-			c.bcastLocked()
-			panic(http.ErrAbortHandler)
-		}
-		r.deltas[k] = delta
-		r.got++
-		c.bcastLocked()
-		c.ackUpdateLocked(w, r, index)
+		return
 	}
+	// Journal before the fold consumes the delta: an update the journal
+	// cannot replay must never be acknowledged, so a failed append drops the
+	// connection without a reply (the client retries against the aborting
+	// run and gets 503/stale, never a false ack).
+	if err := c.journalUpdate(t, index, delta); err != nil {
+		tensor.PutVec(delta)
+		c.bcastLocked()
+		panic(http.ErrAbortHandler)
+	}
+	if err := c.commitLocked(r, k, delta); err != nil {
+		writeError(w, http.StatusInternalServerError, "folding update: %v", err)
+		return
+	}
+	if r.delivered != nil {
+		// Edge-mode direct submission: the member's edge died, so it fell
+		// back to the root (transport failure, or the re-solicitation path)
+		// and folded into its edge's segment.
+		obs.Emit(sink, obs.Event{Kind: obs.KindEdgeFailover, T: t, Part: index})
+	}
+	c.bcastLocked()
+	c.ackUpdateLocked(w, r, index)
 }
 
 // ackUpdateLocked acknowledges an accepted (or idempotently retried) update:
@@ -1601,9 +1408,9 @@ func (c *Coordinator) handlePartial(w http.ResponseWriter, req *http.Request) {
 
 // ingestPartial runs the codec-independent acceptance pipeline for one edge
 // partial: slot membership and ordering are validated from the header's
-// indices before the bulk vectors decode. Accepted sums and dots are
-// retained until the round closes (Round recycles them after the merge);
-// rejected ones go straight back to the pool.
+// indices before the bulk vectors decode, then the partial commits into the
+// round's fold as one segment item. Vectors the fold does not hold go
+// straight back to the pool.
 func (c *Coordinator) ingestPartial(w http.ResponseWriter, t, edge int, indices []int, frameKind obs.Kind, decode func() (sum, dots []float64, err error)) {
 	sink := c.Cfg.Runtime.Sink
 	c.mu.Lock()
@@ -1619,47 +1426,25 @@ func (c *Coordinator) ingestPartial(w http.ResponseWriter, t, edge int, indices 
 			"round %d is not open", t)
 		return
 	}
-	if r.parts == nil {
+	if r.delivered == nil {
 		writeError(w, http.StatusBadRequest,
 			"round %d does not ingest edge partials", t)
 		return
 	}
-	if edge < 0 || edge >= len(r.parts) {
-		writeError(w, http.StatusBadRequest, "edge %d outside [0,%d)", edge, len(r.parts))
+	if edge < 0 || edge >= len(r.delivered) {
+		writeError(w, http.StatusBadRequest, "edge %d outside [0,%d)", edge, len(r.delivered))
 		return
 	}
-	if r.partIdx[edge] != nil {
+	if r.delivered[edge] {
 		// Idempotent retry of a partial whose ack was lost.
 		writeJSON(w, http.StatusOK, updateReply{Accepted: true})
 		return
 	}
-	// Validate membership before decoding the vectors: every index must be
-	// an active slot not yet claimed by another edge, in strictly increasing
-	// slot order (edge cohorts are contiguous slot ranges).
-	slots := make([]int, len(indices))
-	for j, i := range indices {
-		k, active := r.slots[i]
-		if !active {
-			writeError(w, http.StatusBadRequest, "edge %d claims inactive participant %d", edge, i)
-			return
-		}
-		if r.folded[k] {
-			if _, dir := r.direct[k]; dir {
-				// The member failed over and reported directly while the
-				// edge was presumed dead; the partial as a whole is
-				// superseded. Benign for a recovering edge.
-				writeCodedError(w, http.StatusConflict, CodeStaleRound,
-					"participant %d already reported directly to the root", i)
-				return
-			}
-			writeError(w, http.StatusBadRequest, "edge %d re-claims participant %d", edge, i)
-			return
-		}
-		if j > 0 && k <= slots[j-1] {
-			writeError(w, http.StatusBadRequest, "edge %d indices out of slot order", edge)
-			return
-		}
-		slots[j] = k
+	// Validate membership before decoding the vectors.
+	slots, werr := c.partialSlotsLocked(r, edge, indices)
+	if werr != nil {
+		writeCodedError(w, werr.Status, werr.Code, "%s", werr.Msg)
+		return
 	}
 	sum, dots, err := decode()
 	if err != nil {
@@ -1693,17 +1478,10 @@ func (c *Coordinator) ingestPartial(w http.ResponseWriter, t, edge int, indices 
 		c.bcastLocked()
 		panic(http.ErrAbortHandler)
 	}
-	for _, k := range slots {
-		r.folded[k] = true
+	if err := c.commitPartialLocked(r, edge, slots, sum, dots); err != nil {
+		writeError(w, http.StatusInternalServerError, "folding partial: %v", err)
+		return
 	}
-	r.partIdx[edge] = slots
-	if len(slots) > 0 {
-		r.parts[edge] = sum
-		r.partDots[edge] = dots
-	} else {
-		reject()
-	}
-	r.got += len(slots)
 	c.bcastLocked()
 	writeJSON(w, http.StatusOK, updateReply{Accepted: true})
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"digfl/internal/faults"
+	"digfl/internal/hfl"
 	"digfl/internal/jsonf"
 	"digfl/internal/obs"
 	"digfl/internal/tensor"
@@ -19,16 +20,18 @@ import (
 // EdgeAggregator is the middle tier of a two-level cohort tree: it owns a
 // contiguous block of the participant population, ingests those members'
 // updates over the same /v1/update wire the root speaks, folds them into an
-// unscaled partial sum in member order, and submits one /v1/partial to the
-// root per round. The root (Coordinator with Stream and Edges set) merges
-// the partials in edge order and applies the single 1/m scale — exactly the
-// segmented reduction of hfl.MeanStream with Seg = edge width, so a tree
-// run is bit-identical to a flat streamed run of the same segment geometry.
+// unscaled partial sum in member order (hfl.SumStream), and submits one
+// /v1/partial to the root per round. The root (Coordinator with Stream and
+// Edges set) takes each partial as its edge's whole segment in its own
+// hfl.SegmentFold and applies the single 1/m scale — exactly the segmented
+// reduction of hfl.MeanStream with Seg = edge width, so a tree run is
+// bit-identical to a flat streamed run of the same segment geometry.
 //
-// Members must be assigned in global index order, with every member of edge
-// e smaller than every member of edge e+1 — the root rejects partials whose
-// slot ranges interleave. Per-round memory on the edge is O(d + members):
-// each member update is folded on arrival and released.
+// Members must be assigned in global index order, with edge e owning the
+// root's segment e (Coordinator.EdgeWidth) — the root rejects a partial
+// that claims a member outside its edge's segment. Per-round memory on the
+// edge is O(d + members): each member update is folded on arrival and
+// released.
 //
 // The edge learns each round from the root (?vg=1 supplies the validation
 // gradient it needs to record per-update dot products before releasing the
@@ -74,16 +77,12 @@ type EdgeAggregator struct {
 
 // edgeRound is the edge's in-flight round state.
 type edgeRound struct {
-	t       int
-	valGrad []float64
-	active  []int       // active members in member (= slot) order
-	pos     map[int]int // member index -> position in active
-	sum     []float64
-	dots    []float64
-	folded  []bool
-	next    int // smallest position not yet committed
-	pending map[int][]float64
-	got     int
+	t      int
+	active []int       // active members in member (= slot) order
+	pos    map[int]int // member index -> position in active
+	fold   hfl.Fold
+	folded []bool
+	got    int
 }
 
 func (e *EdgeAggregator) client() *http.Client {
@@ -190,7 +189,10 @@ func (e *EdgeAggregator) ingestUpdate(w http.ResponseWriter, t, index int, decod
 				errReply(w)
 				return
 			}
-			e.fold(r, pos, delta)
+			if err := e.fold(r, pos, delta); err != nil {
+				writeError(w, http.StatusInternalServerError, "folding update: %v", err)
+				return
+			}
 			e.bcastLocked()
 			writeJSON(w, http.StatusOK, updateReply{Accepted: true})
 		}
@@ -230,38 +232,15 @@ func (e *EdgeAggregator) vetDelta(delta []float64) ([]float64, func(http.Respons
 	return delta, nil
 }
 
-// fold commits one member update in position order, parking out-of-order
-// arrivals — the edge-local mirror of hfl.MeanStream's in-order commit, so
-// the partial sum's float bits never depend on arrival order. Callers hold
-// mu.
-func (e *EdgeAggregator) fold(r *edgeRound, pos int, delta []float64) {
+// fold commits one member update into the round's in-order sum, so the
+// partial's float bits never depend on arrival order. Callers hold mu.
+func (e *EdgeAggregator) fold(r *edgeRound, pos int, delta []float64) error {
+	if err := addReleasing(r.fold, pos, delta); err != nil {
+		return err
+	}
 	r.folded[pos] = true
 	r.got++
-	if pos != r.next {
-		if r.pending == nil {
-			r.pending = make(map[int][]float64)
-		}
-		r.pending[pos] = delta
-		return
-	}
-	e.commit(r, delta)
-	for {
-		d, ok := r.pending[r.next]
-		if !ok {
-			return
-		}
-		delete(r.pending, r.next)
-		e.commit(r, d)
-	}
-}
-
-func (e *EdgeAggregator) commit(r *edgeRound, delta []float64) {
-	tensor.AXPY(1, delta, r.sum)
-	r.dots = append(r.dots, tensor.Dot(r.valGrad, delta))
-	r.next++
-	// The commit consumed the delta (sum and dot are all the round keeps);
-	// its buffer goes back to the pool for the next arrival.
-	tensor.PutVec(delta)
+	return nil
 }
 
 // Run serves rounds against the root until the run completes. Like the
@@ -334,17 +313,12 @@ func (e *EdgeAggregator) Run(ctx context.Context) error {
 			// never downloaded (h=1).
 			e.p = len(round.ValGrad)
 		}
-		sum := tensor.GetVec(e.p)
-		for i := range sum {
-			sum[i] = 0
-		}
 		r := &edgeRound{
-			t:       round.T,
-			valGrad: round.ValGrad,
-			active:  active,
-			pos:     make(map[int]int, len(active)),
-			sum:     sum,
-			folded:  make([]bool, len(active)),
+			t:      round.T,
+			active: active,
+			pos:    make(map[int]int, len(active)),
+			fold:   hfl.SumStream{}.NewFold(e.p, len(active), round.ValGrad),
+			folded: make([]bool, len(active)),
 		}
 		for k, m := range active {
 			r.pos[m] = k
@@ -355,8 +329,9 @@ func (e *EdgeAggregator) Run(ctx context.Context) error {
 		// opened) are dropped.
 		if park := e.parked[round.T]; park != nil {
 			for k, m := range active {
-				if d, ok := park[m]; ok && !r.folded[k] && (e.p == 0 || len(d) == e.p) {
-					e.fold(r, k, d)
+				if d, ok := park[m]; ok && !r.folded[k] {
+					// A wrong-length parked delta is refused by the fold.
+					_ = e.fold(r, k, d)
 				}
 			}
 			delete(e.parked, round.T)
@@ -376,18 +351,21 @@ func (e *EdgeAggregator) Run(ctx context.Context) error {
 		// Submit the partial; a stale-round rejection means the root closed
 		// the round without us — benign, the epoch degraded to survivors.
 		e.mu.Lock()
-		e.closeFold(r)
-		indices := r.active
-		if r.got < len(r.active) {
-			// Survivors only.
-			indices = make([]int, 0, r.got)
-			for k, m := range r.active {
-				if r.folded[k] {
-					indices = append(indices, m)
-				}
-			}
+		fr, err := r.fold.Close()
+		if err != nil {
+			e.mu.Unlock()
+			return fmt.Errorf("fednet: edge %d round %d: %w", e.Edge, round.T, err)
 		}
-		sum, dots := r.sum, r.dots
+		// Survivors only, in member order.
+		indices := make([]int, len(fr.Slots))
+		for j, k := range fr.Slots {
+			indices[j] = r.active[k]
+		}
+		sum, dots := fr.Sum, fr.Dots
+		if sum == nil {
+			// Every member dropped: the empty partial carries a zero sum.
+			sum = make([]float64, e.p)
+		}
 		e.cur = nil
 		e.nextRound = round.T + 1
 		e.bcastLocked()
@@ -413,32 +391,6 @@ func (e *EdgeAggregator) Run(ctx context.Context) error {
 			}
 		}
 		next = round.T + 1
-	}
-}
-
-// closeFold commits any out-of-order parked updates (stragglers behind a
-// permanent gap) in position order. Callers hold mu.
-func (e *EdgeAggregator) closeFold(r *edgeRound) {
-	for len(r.pending) > 0 {
-		// Advance next to the smallest parked position.
-		min := -1
-		for pos := range r.pending {
-			if min < 0 || pos < min {
-				min = pos
-			}
-		}
-		d := r.pending[min]
-		delete(r.pending, min)
-		r.next = min
-		e.commit(r, d)
-		for {
-			nd, ok := r.pending[r.next]
-			if !ok {
-				break
-			}
-			delete(r.pending, r.next)
-			e.commit(r, nd)
-		}
 	}
 }
 

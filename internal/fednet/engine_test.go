@@ -43,31 +43,28 @@ func TestEngineLoopbackBitIdenticalToLocal(t *testing.T) {
 				return spec
 			}
 
-			// In-process reference: the trainer feeds the engine via
-			// Cfg.Engine.
+			// In-process reference: the trainer feeds the engine through
+			// its Observer.
 			model, parts, val := problem(seed)
 			localEng, err := shapley.NewEngine(name, mkSpec(model, val))
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := testConfig()
-			cfg.Engine = localEng
-			tr := &hfl.Trainer{Model: model, Parts: parts, Val: val, Cfg: cfg}
+			tr := &hfl.Trainer{Model: model, Parts: parts, Val: val, Cfg: testConfig(),
+				Observer: localEng.Observe}
 			if _, err := tr.RunContext(context.Background()); err != nil {
 				t.Fatalf("local run: %v", err)
 			}
 			want := localEng.Finalize()
 
-			// The same training over the wire, engine promoted from the
-			// trainer config into the coordinator's locked observer chain.
+			// The same training over the wire, the engine attached to the
+			// coordinator's locked observer chain.
 			model2, parts2, val2 := problem(seed)
 			netEng, err := shapley.NewEngine(name, mkSpec(model2, val2))
 			if err != nil {
 				t.Fatal(err)
 			}
-			netCfg := testConfig()
-			netCfg.Engine = netEng
-			coord := &Coordinator{N: testN, Model: model2, Val: val2, Cfg: netCfg}
+			coord := &Coordinator{N: testN, Model: model2, Val: val2, Cfg: testConfig(), Engine: netEng}
 			_, perrs, err := Loopback(context.Background(), coord, func(i int) *Participant {
 				return &Participant{Index: i, Model: model2, Data: parts2[i], Retries: 2}
 			})
@@ -82,7 +79,7 @@ func TestEngineLoopbackBitIdenticalToLocal(t *testing.T) {
 			got := netEng.Finalize()
 
 			if coord.Engine != netEng {
-				t.Fatal("Cfg.Engine was not promoted to the coordinator field")
+				t.Fatal("the coordinator's Engine field changed during the run")
 			}
 			if !reflect.DeepEqual(want.PerEpoch, got.PerEpoch) {
 				t.Errorf("φ matrix differs:\nlocal %v\nnet   %v", want.PerEpoch, got.PerEpoch)
@@ -173,24 +170,4 @@ func TestEngineCompositionErrors(t *testing.T) {
 	if _, err := c.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "Journal") {
 		t.Fatalf("Engine+Journal should fail fast: %v", err)
 	}
-
-	// A config-carried engine that is not a shapley.Engine is rejected.
-	c = &Coordinator{N: testN, Model: model, Val: val, Cfg: testConfig()}
-	c.Cfg.Engine = bogusEngine{}
-	if _, err := c.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "shapley.Engine") {
-		t.Fatalf("non-shapley Cfg.Engine should fail fast: %v", err)
-	}
-
-	// Two different engines via both seams is ambiguous.
-	c = mkCoord()
-	c.Cfg.Engine = mkEngine()
-	if _, err := c.Run(context.Background()); err == nil || !strings.Contains(err.Error(), "not both") {
-		t.Fatalf("Engine and a different Cfg.Engine should fail fast: %v", err)
-	}
 }
-
-// bogusEngine satisfies hfl.ContributionEngine but not shapley.Engine.
-type bogusEngine struct{}
-
-func (bogusEngine) Name() string          { return "bogus" }
-func (bogusEngine) Observe(ep *hfl.Epoch) {}

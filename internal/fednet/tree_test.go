@@ -213,6 +213,11 @@ func TestRoundLongPollShutdownReleasesWaiters(t *testing.T) {
 	defer srv.Close()
 
 	before := runtime.NumGoroutine()
+	// A dedicated transport keeps this test's keep-alive connections out of
+	// the process-wide pool; closing them below lets the server's connection
+	// goroutines exit, so the drain check counts only leaked handlers.
+	htr := &http.Transport{}
+	client := &http.Client{Transport: htr}
 	const waiters = 8
 	var wg sync.WaitGroup
 	states := make([]string, waiters)
@@ -220,7 +225,7 @@ func TestRoundLongPollShutdownReleasesWaiters(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := http.Get(srv.URL + fmt.Sprintf("/v1/round?t=1&i=%d", i%testN))
+			resp, err := client.Get(srv.URL + fmt.Sprintf("/v1/round?t=1&i=%d", i%testN))
 			if err != nil {
 				states[i] = err.Error()
 				return
@@ -256,6 +261,7 @@ func TestRoundLongPollShutdownReleasesWaiters(t *testing.T) {
 		}
 	}
 	// The handler goroutines must drain; allow the runtime a moment.
+	htr.CloseIdleConnections()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= before+2 {

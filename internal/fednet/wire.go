@@ -145,15 +145,15 @@ type updateIngest struct {
 
 // partialRequest submits one edge sub-aggregator's cohort partial for a
 // streaming round: the unscaled sum of its members' updates (in member
-// order) plus their validation dot products. The root merges partials in
-// edge order and applies the single 1/m scale, so a tree run reduces in
-// exactly the canonical segmented order (hfl.MeanStream) and stays
-// bit-identical to a flat streamed run with Seg = edge width.
+// order) plus their validation dot products. The root folds each partial
+// as its edge's segment and applies the single 1/m scale, so a tree run
+// reduces in exactly the canonical segmented order (hfl.MeanStream) and
+// stays bit-identical to a flat streamed run with Seg = edge width.
 type partialRequest struct {
 	Protocol string `json:"protocol"`
 	T        int    `json:"t"`
-	// Edge is the sub-aggregator's index; edge e must own a contiguous
-	// earlier slot range than edge e+1.
+	// Edge is the sub-aggregator's index; every member in Indices must lie
+	// in the root's segment e (Coordinator.EdgeWidth).
 	Edge int `json:"edge"`
 	// Indices lists the global participant indices whose updates the
 	// partial folds, in round-active order.

@@ -112,13 +112,6 @@ type Config struct {
 	// after aggregation and the Observer; the zero value (RetainAll) is the
 	// historical keep-everything behavior.
 	RetainDeltas RetainPolicy
-	// Engine, when non-nil, attaches a contribution engine
-	// (internal/shapley.Engine) to the run: it observes every epoch record
-	// right after the Observer and before ReleaseAfterObserve drops the raw
-	// updates. Engines need buffered rounds — configuring Engine together
-	// with Trainer.Stream is a validation error — and never see retraining
-	// sweeps (Trainer.Utility strips the engine like it strips Faults).
-	Engine ContributionEngine
 }
 
 // Checkpoint is the trainer state persisted every CheckpointEvery epochs:
@@ -152,7 +145,7 @@ func (ck *Checkpoint) validate(p, epochs int) error {
 // workers resolves the effective local-update pool size through the
 // unified obs.Runtime.Resolve rule: zero selects serial.
 func (c Config) workers() int {
-	return c.Runtime.Resolve(0)
+	return c.Runtime.Resolve()
 }
 
 func (c Config) localSteps() int {
@@ -230,37 +223,9 @@ type Reweighter interface {
 // mean) plug into. It receives the epoch record after Weights are fixed and
 // returns the global update G_t the server subtracts from θ_{t-1}; an error
 // fails the run through the RunContext contract instead of panicking
-// mid-epoch. (This is the former AggregatorE shape — the panicking variant
-// is gone; wrap legacy panicking rules with AggregatorFunc.)
+// mid-epoch.
 type Aggregator interface {
 	Aggregate(ep *Epoch) ([]float64, error)
-}
-
-// AggregatorE is the historical name of the error-returning aggregation
-// interface, which is now the only one.
-//
-// Deprecated: use Aggregator.
-type AggregatorE = Aggregator
-
-// AggregatorFunc adapts the legacy panicking aggregate function shape to
-// the error-returning Aggregator interface.
-//
-// Deprecated: implement Aggregator directly; panics inside f still escape.
-type AggregatorFunc func(ep *Epoch) []float64
-
-// Aggregate implements Aggregator.
-func (f AggregatorFunc) Aggregate(ep *Epoch) ([]float64, error) { return f(ep), nil }
-
-// ContributionEngine is the trainer-facing slice of a contribution engine
-// (internal/shapley.Engine): a name for reporting plus per-epoch
-// observation. It is defined here, structurally satisfied by the engine
-// implementations, so the trainer can carry an engine without depending on
-// them. The trainer feeds the engine every epoch record — after screening,
-// reweighting, aggregation, and the Observer, but before a ReleaseAfterObserve
-// policy drops the raw Deltas the engine needs.
-type ContributionEngine interface {
-	Name() string
-	Observe(ep *Epoch)
 }
 
 // Screener vets an epoch's local updates server-side before weights are
@@ -496,11 +461,6 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 		// streaming exists to avoid; refuse the combination instead of
 		// silently buffering (see BufferedRule).
 		return nil, fmt.Errorf("hfl: Stream cannot compose with Aggregator/Reweighter/Screen — those need the buffered path")
-	}
-	if tr.Stream != nil && tr.Cfg.Engine != nil {
-		// Contribution engines reconstruct coalition models from the raw
-		// per-participant updates; a streamed round folds and releases them.
-		return nil, fmt.Errorf("hfl: Cfg.Engine cannot compose with Stream — engines need the buffered path's raw deltas")
 	}
 	model := tr.Model.Clone()
 	res := &Result{Model: model}
@@ -758,12 +718,6 @@ func (tr *Trainer) RunSubsetContext(ctx context.Context, subset []int) (*Result,
 		if tr.Observer != nil {
 			tr.Observer(ep)
 		}
-		if tr.Cfg.Engine != nil {
-			// The engine sees every epoch — including all-dropped ones, to
-			// keep its epoch numbering sequential — while the raw Deltas it
-			// reconstructs coalition models from are still alive.
-			tr.Cfg.Engine.Observe(ep)
-		}
 		if tr.Cfg.RetainDeltas == ReleaseAfterObserve {
 			// The epoch is aggregated and observed; release the raw updates
 			// so a KeepLog run retains only slim per-epoch metadata. Archive
@@ -817,12 +771,10 @@ func (tr *Trainer) Utility(subset []int) float64 {
 	cfg := tr.Cfg
 	cfg.KeepLog = false
 	// Ground-truth utilities are defined on fault-free retraining: coalition
-	// sweeps never inherit the production run's injector, checkpoints, or
-	// contribution engine (feeding sweep epochs to the engine would corrupt
-	// its sequential view of the production run).
+	// sweeps never inherit the production run's injector or checkpoints
+	// (nor its Observer, so an engine attached there never sees them).
 	cfg.Faults = nil
 	cfg.CheckpointEvery, cfg.CheckpointFunc, cfg.Resume = 0, nil, nil
-	cfg.Engine = nil
 	sub := &Trainer{Model: tr.Model, Parts: tr.Parts, Val: tr.Val, Cfg: cfg}
 	res, err := sub.RunSubsetContext(context.Background(), subset)
 	if err != nil {

@@ -2,7 +2,6 @@ package hfl
 
 import (
 	"fmt"
-	"sort"
 
 	"digfl/internal/tensor"
 )
@@ -20,8 +19,9 @@ import (
 type Fold interface {
 	// Add folds the update at slot — its position in the round's active
 	// order. Each slot may be added at most once; a wrong-length delta or an
-	// out-of-range slot is an error. The fold never retains delta beyond the
-	// commit that consumes it.
+	// out-of-range slot is an error. A reducing fold never retains delta
+	// beyond the commit that consumes it; a retaining fold (NewRetainFold)
+	// hands it back from Close.
 	Add(slot int, delta []float64) error
 	// Close finalizes the round over the slots that actually arrived
 	// (committing any still-parked updates in slot order) and returns the
@@ -41,6 +41,9 @@ type FoldResult struct {
 	// fold time so contribution evaluation survives the deltas' release.
 	// Nil when the fold was opened without a validation gradient.
 	Dots []float64
+	// Deltas[j] is the update added at Slots[j]; set only by a retaining
+	// fold (NewRetainFold), which leaves Sum and Dots nil.
+	Deltas [][]float64
 }
 
 // StreamAggregator supplies per-round Folds — the streaming aggregation
@@ -90,131 +93,267 @@ type MeanStream struct {
 func (m MeanStream) NewFold(p, k int, valGrad []float64) Fold {
 	seg := m.Seg
 	if seg <= 0 {
-		seg = k
+		return newSegmentFold(p, k, valGrad, nil, true, false)
 	}
-	if seg < 1 {
-		seg = 1
-	}
-	return &meanFold{p: p, k: k, seg: seg, curSeg: -1, valGrad: valGrad}
+	return newSegmentFold(p, k, valGrad, func(slot int) int { return slot / seg }, true, false)
 }
 
-// meanFold is MeanStream's per-round accumulator with in-order commit.
-type meanFold struct {
-	p, k, seg int
-	valGrad   []float64
+// SumStream folds a round into the unscaled single-segment sum Σ δ of the
+// arrived updates, in slot order from a zero accumulator — exactly one
+// MeanStream segment before the 1/m scale. A cohort tree's edge folds its
+// members with it and ships the result to the root as a segment partial
+// (SegmentFold.AddPartial).
+type SumStream struct{}
 
-	next     int // smallest slot not yet committed (assuming no gaps)
+// NewFold implements StreamAggregator.
+func (SumStream) NewFold(p, k int, valGrad []float64) Fold {
+	return newSegmentFold(p, k, valGrad, nil, false, false)
+}
+
+// NewSegmentFold opens a MeanStream fold whose slot-to-segment map is
+// explicit: seg(slot) names each slot's segment and must be non-decreasing
+// in slot. A cohort-tree root passes each member's edge, so its fold can
+// take an edge's whole segment as one pre-folded partial (AddPartial) next
+// to the updates its members sent the root directly.
+func NewSegmentFold(p, k int, valGrad []float64, seg func(slot int) int) *SegmentFold {
+	return newSegmentFold(p, k, valGrad, seg, true, false)
+}
+
+// NewRetainFold opens a fold that keeps the arrived deltas instead of
+// reducing them: Close reports them in slot order in FoldResult.Deltas
+// (Sum and Dots nil), for rounds whose aggregation needs the buffer.
+func NewRetainFold(p, k int) *SegmentFold {
+	return newSegmentFold(p, k, nil, nil, false, true)
+}
+
+func newSegmentFold(p, k int, valGrad []float64, seg func(int) int, mean, retain bool) *SegmentFold {
+	f := &SegmentFold{p: p, k: k, valGrad: valGrad, seg: seg, mean: mean,
+		seen: make([]bool, k), curSeg: -1}
+	if retain {
+		f.deltas = make([][]float64, k)
+	} else if valGrad != nil {
+		f.dots = make([]float64, k)
+	}
+	return f
+}
+
+// SegmentFold is the one implementation of the canonical segmented
+// reduction (see MeanStream) with in-order commit. Updates and segment
+// partials commit in slot order — a partial at its first slot — whatever
+// their arrival order, so the fold's output is a pure function of the set
+// of slots added.
+type SegmentFold struct {
+	p, k    int
+	valGrad []float64
+	seg     func(slot int) int // nil: one segment
+	mean    bool               // scale the total by 1/count at Close
+	deltas  [][]float64        // by slot; non-nil: retain instead of reducing
+
+	seen     []bool    // slots added: parked, committed, or in a partial
+	dots     []float64 // by slot; nil without a validation gradient
+	next     int       // smallest slot neither committed nor in a committed partial
 	curSeg   int
-	count    int // committed updates
+	count    int // added updates
 	segCount int // committed updates in the current segment
 	acc      []float64
 	segAcc   []float64
-	pending  map[int][]float64
-	seen     []bool
-	slots    []int
-	dots     []float64
+	pending  map[int]foldItem // parked out-of-order items, by first slot
 	closed   bool
 }
 
-func (f *meanFold) Add(slot int, delta []float64) error {
-	if f.closed {
+// foldItem is one parked commit: a single update (slots nil) or a segment
+// partial with its member slots and dots.
+type foldItem struct {
+	vec   []float64
+	slots []int
+	dots  []float64
+}
+
+// Add implements Fold.
+func (f *SegmentFold) Add(slot int, delta []float64) error {
+	switch {
+	case f.closed:
 		return fmt.Errorf("hfl: fold already closed")
-	}
-	if slot < 0 || slot >= f.k {
+	case slot < 0 || slot >= f.k:
 		return fmt.Errorf("hfl: fold slot %d outside [0,%d)", slot, f.k)
-	}
-	if len(delta) != f.p {
+	case len(delta) != f.p:
 		return fmt.Errorf("hfl: fold slot %d delta has %d params, want %d", slot, len(delta), f.p)
-	}
-	if f.seen == nil {
-		f.seen = make([]bool, f.k)
-	}
-	if f.seen[slot] {
+	case f.seen[slot]:
 		return fmt.Errorf("hfl: fold slot %d added twice", slot)
 	}
 	f.seen[slot] = true
-	if slot != f.next {
-		// Out-of-order arrival: park until the predecessors commit (or the
-		// round closes with those slots missing).
-		if f.pending == nil {
-			f.pending = make(map[int][]float64)
-		}
-		f.pending[slot] = delta
+	f.count++
+	if f.deltas != nil {
+		f.deltas[slot] = delta
 		return nil
 	}
-	f.commit(slot, delta)
-	for {
-		d, ok := f.pending[f.next]
-		if !ok {
-			return nil
+	f.put(slot, foldItem{vec: delta})
+	return nil
+}
+
+// AddPartial folds one pre-folded segment partial: slots (ascending, all in
+// one segment), the unscaled sum of their updates in slot order, and their
+// dots aligned with slots. The partial commits as a unit at its first slot,
+// so an update another path delivered for a slot the partial lacks still
+// folds into the same segment. An empty partial is a no-op.
+func (f *SegmentFold) AddPartial(slots []int, sum, dots []float64) error {
+	switch {
+	case f.closed:
+		return fmt.Errorf("hfl: fold already closed")
+	case len(slots) == 0:
+		return nil
+	case f.deltas != nil:
+		return fmt.Errorf("hfl: a retaining fold takes no partials")
+	case len(sum) != f.p || len(dots) != len(slots):
+		return fmt.Errorf("hfl: partial has %d params and %d dots for %d slots, want %d params",
+			len(sum), len(dots), len(slots), f.p)
+	}
+	for j, s := range slots {
+		switch {
+		case s < 0 || s >= f.k:
+			return fmt.Errorf("hfl: fold slot %d outside [0,%d)", s, f.k)
+		case j > 0 && s <= slots[j-1]:
+			return fmt.Errorf("hfl: partial slots out of order")
+		case f.segment(s) != f.segment(slots[0]):
+			return fmt.Errorf("hfl: partial spans segments %d and %d", f.segment(slots[0]), f.segment(s))
+		case f.seen[s]:
+			return fmt.Errorf("hfl: fold slot %d added twice", s)
 		}
-		delete(f.pending, f.next)
-		f.commit(f.next, d)
+	}
+	for _, s := range slots {
+		f.seen[s] = true
+	}
+	f.count += len(slots)
+	f.put(slots[0], foldItem{vec: sum, slots: slots, dots: dots})
+	return nil
+}
+
+func (f *SegmentFold) segment(slot int) int {
+	if f.seg == nil {
+		return 0
+	}
+	return f.seg(slot)
+}
+
+// put commits an item at its first slot when every earlier slot is settled,
+// then drains the parked items it unblocked; otherwise it parks the item.
+func (f *SegmentFold) put(key int, it foldItem) {
+	if key != f.next {
+		if f.pending == nil {
+			f.pending = make(map[int]foldItem)
+		}
+		f.pending[key] = it
+		return
+	}
+	f.commit(key, it)
+	for f.next < f.k && f.seen[f.next] {
+		// A seen slot at next is either a parked item's first slot or a
+		// member of an already committed partial.
+		if p, ok := f.pending[f.next]; ok {
+			delete(f.pending, f.next)
+			f.commit(f.next, p)
+			continue
+		}
+		f.next++
 	}
 }
 
-// commit folds one update at its slot position; callers guarantee slot
-// order. It advances next past the committed slot.
-func (f *meanFold) commit(slot int, delta []float64) {
-	if s := slot / f.seg; s != f.curSeg {
+// commit folds one item at its first slot; callers guarantee slot order.
+func (f *SegmentFold) commit(key int, it foldItem) {
+	if s := f.segment(key); s != f.curSeg {
 		f.flush()
 		f.curSeg = s
 	}
 	if f.segAcc == nil {
 		f.segAcc = make([]float64, f.p)
 	}
-	tensor.AXPY(1, delta, f.segAcc)
-	f.segCount++
-	f.count++
-	f.slots = append(f.slots, slot)
-	if f.valGrad != nil {
-		f.dots = append(f.dots, tensor.Dot(f.valGrad, delta))
+	tensor.AXPY(1, it.vec, f.segAcc)
+	switch {
+	case it.slots != nil:
+		f.segCount += len(it.slots)
+		if f.dots != nil {
+			for j, s := range it.slots {
+				f.dots[s] = it.dots[j]
+			}
+		}
+	default:
+		f.segCount++
+		if f.dots != nil {
+			f.dots[key] = tensor.Dot(f.valGrad, it.vec)
+		}
 	}
-	f.next = slot + 1
+	f.next = key + 1
 }
 
-// flush merges a non-empty segment partial into the running total.
-func (f *meanFold) flush() {
+// flush merges a non-empty segment partial into the running total. The
+// first segment becomes the total outright: a sum started from +0 never
+// holds -0, so 0 + x == x bit for bit and the copy is skipped.
+func (f *SegmentFold) flush() {
 	if f.segCount == 0 {
 		return
 	}
 	if f.acc == nil {
-		f.acc = make([]float64, f.p)
-	}
-	tensor.AXPY(1, f.segAcc, f.acc)
-	for j := range f.segAcc {
-		f.segAcc[j] = 0
+		f.acc, f.segAcc = f.segAcc, nil
+	} else {
+		tensor.AXPY(1, f.segAcc, f.acc)
+		clear(f.segAcc)
 	}
 	f.segCount = 0
 }
 
-func (f *meanFold) Close() (*FoldResult, error) {
+// Close implements Fold.
+func (f *SegmentFold) Close() (*FoldResult, error) {
 	if f.closed {
 		return nil, fmt.Errorf("hfl: fold closed twice")
 	}
 	f.closed = true
-	// Slots parked behind permanent gaps (stragglers that never reported)
+	// Items parked behind permanent gaps (stragglers that never reported)
 	// commit now, in slot order.
-	if len(f.pending) > 0 {
-		rest := make([]int, 0, len(f.pending))
-		for s := range f.pending {
-			rest = append(rest, s)
+	for s := f.next; s < f.k && len(f.pending) > 0; s++ {
+		if it, ok := f.pending[s]; ok {
+			delete(f.pending, s)
+			f.commit(s, it)
 		}
-		sort.Ints(rest)
-		for _, s := range rest {
-			f.commit(s, f.pending[s])
-		}
-		f.pending = nil
 	}
 	f.flush()
-	res := &FoldResult{Slots: f.slots, Dots: f.dots}
+	res := &FoldResult{}
+	if f.deltas != nil {
+		res.Deltas = make([][]float64, 0, f.count)
+	}
 	if f.count > 0 {
-		tensor.Scale(1/float64(f.count), f.acc)
+		res.Slots = make([]int, 0, f.count)
+		if f.dots != nil {
+			res.Dots = make([]float64, 0, f.count)
+		}
+	}
+	for s, added := range f.seen {
+		if !added {
+			continue
+		}
+		res.Slots = append(res.Slots, s)
+		if f.deltas != nil {
+			res.Deltas = append(res.Deltas, f.deltas[s])
+		}
+		if f.dots != nil {
+			res.Dots = append(res.Dots, f.dots[s])
+		}
+	}
+	if f.acc != nil {
+		if f.mean {
+			tensor.Scale(1/float64(f.count), f.acc)
+		}
 		res.Sum = f.acc
 	}
 	return res, nil
 }
 
-// Pending reports how many updates are parked awaiting predecessors — a
-// diagnostic for the out-of-order worst case.
-func (f *meanFold) Pending() int { return len(f.pending) }
+// Pending reports how many added vectors the fold still references —
+// updates parked awaiting predecessors, or every delta a retaining fold
+// keeps. A caller that pools its vectors recycles one only when its Add
+// left Pending unchanged.
+func (f *SegmentFold) Pending() int {
+	if f.deltas != nil {
+		return f.count
+	}
+	return len(f.pending)
+}

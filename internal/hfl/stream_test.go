@@ -236,3 +236,172 @@ func TestRetainDeltasRelease(t *testing.T) {
 		t.Fatal("releasing deltas perturbed the run")
 	}
 }
+
+// Segment partials reproduce the canonical reduction: summing each segment
+// with SumStream and handing the sums to a SegmentFold as partials gives
+// MeanStream{Seg}'s bits over the raw deltas — a cohort tree's edges and
+// root, at unit scale. A missing slot inside a segment stays a gap.
+func TestSegmentFoldPartialsMatchMeanStream(t *testing.T) {
+	const k, p, seg = 8, 6, 3
+	deltas := foldDeltas(k, p, 5)
+	vg := foldDeltas(1, p, 6)[0]
+	arrived := []int{0, 1, 2, 4, 5, 6, 7} // slot 3 never arrives
+
+	flat := MeanStream{Seg: seg}.NewFold(p, k, vg)
+	for _, s := range arrived {
+		if err := flat.Add(s, deltas[s]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := flat.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	root := NewSegmentFold(p, k, vg, func(s int) int { return s / seg })
+	for lo := k - k%seg; lo >= 0; lo -= seg { // segments arrive in reverse
+		var slots []int
+		for _, s := range arrived {
+			if s >= lo && s < lo+seg {
+				slots = append(slots, s)
+			}
+		}
+		edge := SumStream{}.NewFold(p, len(slots), vg)
+		for j, s := range slots {
+			if err := edge.Add(j, deltas[s]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		part, err := edge.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := root.AddPartial(slots, part.Sum, part.Dots); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := root.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameVec(want.Sum, got.Sum) || !sameVec(want.Dots, got.Dots) || !sameInts(want.Slots, got.Slots) {
+		t.Fatalf("partial fold differs from MeanStream:\nwant %v %v\ngot  %v %v", want.Slots, want.Sum, got.Slots, got.Sum)
+	}
+}
+
+// A direct update for a slot inside a partial's range folds into the same
+// segment, to the same bits in either arrival order, and Slots/Dots come
+// back in slot order.
+func TestSegmentFoldPartialBesideDirect(t *testing.T) {
+	const k, p = 4, 5
+	deltas := foldDeltas(k, p, 7)
+	vg := foldDeltas(1, p, 8)[0]
+	sum := tensor.Add(deltas[0], deltas[2])
+	dots := []float64{tensor.Dot(vg, deltas[0]), tensor.Dot(vg, deltas[2])}
+	run := func(directFirst bool) *FoldResult {
+		f := NewSegmentFold(p, k, vg, func(int) int { return 0 })
+		add := func() {
+			if err := f.Add(1, append([]float64(nil), deltas[1]...)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if directFirst {
+			add()
+		}
+		if err := f.AddPartial([]int{0, 2}, append([]float64(nil), sum...), append([]float64(nil), dots...)); err != nil {
+			t.Fatal(err)
+		}
+		if !directFirst {
+			add()
+		}
+		res, err := f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(true), run(false)
+	if !sameVec(a.Sum, b.Sum) || !sameVec(a.Dots, b.Dots) {
+		t.Fatal("partial-beside-direct fold depends on arrival order")
+	}
+	if !sameInts(a.Slots, []int{0, 1, 2}) || a.Dots[1] != tensor.Dot(vg, deltas[1]) || a.Dots[2] != dots[1] {
+		t.Fatalf("slots %v dots %v not in slot order", a.Slots, a.Dots)
+	}
+	want := make([]float64, p)
+	tensor.AXPY(1, sum, want)
+	tensor.AXPY(1, deltas[1], want)
+	tensor.Scale(1.0/3, want)
+	if !sameVec(want, a.Sum) {
+		t.Fatalf("sum %v, want %v", a.Sum, want)
+	}
+}
+
+func TestSegmentFoldPartialRejects(t *testing.T) {
+	f := NewSegmentFold(2, 4, nil, func(s int) int { return s / 2 })
+	one := []float64{1, 1}
+	cases := []struct {
+		name  string
+		slots []int
+		sum   []float64
+		dots  []float64
+	}{
+		{"spans segments", []int{1, 2}, one, []float64{0, 0}},
+		{"out of order", []int{1, 0}, one, []float64{0, 0}},
+		{"out of range", []int{4}, one, []float64{0}},
+		{"short sum", []int{0}, []float64{1}, []float64{0}},
+		{"dots mismatch", []int{0}, one, nil},
+	}
+	for _, c := range cases {
+		if err := f.AddPartial(c.slots, c.sum, c.dots); err == nil {
+			t.Errorf("%s: partial accepted", c.name)
+		}
+	}
+	if err := f.Add(0, one); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.AddPartial([]int{0, 1}, one, []float64{0, 0}); err == nil {
+		t.Error("partial re-claiming a folded slot accepted")
+	}
+	if err := NewRetainFold(2, 2).AddPartial([]int{0}, one, []float64{0}); err == nil {
+		t.Error("retaining fold took a partial")
+	}
+}
+
+// The retaining fold keeps every added delta, reports them in slot order,
+// and says it holds them (so pooling callers never recycle them).
+func TestRetainFold(t *testing.T) {
+	deltas := foldDeltas(4, 3, 9)
+	f := NewRetainFold(3, 4)
+	for _, s := range []int{3, 0, 2} {
+		if err := f.Add(s, deltas[s]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f.Pending() != 3 {
+		t.Fatalf("retaining fold holds %d deltas, want 3", f.Pending())
+	}
+	res, err := f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Sum != nil || res.Dots != nil || !sameInts(res.Slots, []int{0, 2, 3}) {
+		t.Fatalf("retain result: slots %v sum %v dots %v", res.Slots, res.Sum, res.Dots)
+	}
+	for j, s := range res.Slots {
+		if &res.Deltas[j][0] != &deltas[s][0] {
+			t.Fatalf("slot %d delta is not the added vector", s)
+		}
+	}
+}
+
+func sameInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

@@ -255,10 +255,9 @@ func Since(s Sink, t0 time.Time) time.Duration {
 // secure protocol accept: one worker budget and one observability sink,
 // replacing the per-struct Parallel/Workers knobs that grew independently.
 //
-// Workers resolves as: 0 defers to the enclosing struct's deprecated legacy
-// fields (and to serial where no legacy field exists), 1 forces the serial
-// path, > 1 sets the bounded-pool size, and negative selects GOMAXPROCS.
-// A non-zero Workers always wins over the legacy fields.
+// Workers resolves as: 0 takes the component's default (serial everywhere
+// but the secure protocol), 1 forces the serial path, > 1 sets the
+// bounded-pool size, and negative selects GOMAXPROCS.
 type Runtime struct {
 	// Workers is the bounded worker-pool budget; see the struct comment
 	// for the resolution rule.
@@ -268,20 +267,12 @@ type Runtime struct {
 	Sink Sink
 }
 
-// Resolve collapses the repository's historical three-way parallelism
-// configuration (Runtime.Workers plus each component's deprecated legacy
-// fields) into the one effective pool size every concurrent hot path uses.
-// legacy is the component's deprecated fallback request, pre-mapped to the
-// shared convention: > 0 is an explicit pool size, negative selects
-// GOMAXPROCS, and 0 selects the serial path. Runtime.Workers follows the
-// same convention and, when non-zero, always wins over legacy. Components
-// without a legacy field pass 0.
-func (r Runtime) Resolve(legacy int) int {
-	w := r.Workers
-	if w == 0 {
-		w = legacy
-	}
-	switch {
+// Resolve maps Workers to the one effective pool size every concurrent hot
+// path uses: > 0 is an explicit pool size, negative selects GOMAXPROCS, and
+// 0 selects the serial path. A component whose zero default differs maps
+// its own zero before resolving.
+func (r Runtime) Resolve() int {
+	switch w := r.Workers; {
 	case w > 0:
 		return w
 	case w < 0:

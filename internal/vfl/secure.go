@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math/big"
+	"runtime"
 	"sync"
 	"time"
 
@@ -64,10 +65,13 @@ type SecureConfig struct {
 }
 
 // workers resolves the effective Paillier pool size through the unified
-// obs.Runtime.Resolve rule. The protocol's historical zero default is
-// GOMAXPROCS (not serial), so 0 maps to the negative sentinel.
+// obs.Runtime.Resolve rule. The protocol's zero default is GOMAXPROCS, not
+// serial.
 func (c SecureConfig) workers() int {
-	return c.Runtime.Resolve(-1)
+	if c.Runtime.Workers == 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return c.Runtime.Resolve()
 }
 
 // SecureResult reports the outcome of a secure run together with the
