@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench verify verify-faults verify-net verify-adv verify-scale verify-wire verify-crash verify-engines verify-async bench-json
+.PHONY: build test bench verify verify-faults verify-net verify-adv verify-scale verify-wire verify-crash verify-engines verify-async verify-secure bench-json
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,7 @@ verify:
 	$(MAKE) verify-crash
 	$(MAKE) verify-engines
 	$(MAKE) verify-async
+	$(MAKE) verify-secure
 
 # verify-faults runs the fault-injection suite: the determinism gate
 # (TestFaultScheduleDeterministic runs the full dropout/straggler/crash/
@@ -104,6 +105,19 @@ verify-async:
 	$(GO) vet ./internal/hfl/ ./internal/fednet/ ./internal/experiments/ ./internal/robust/
 	$(GO) test -count=1 -run 'Async|PolyWeight|Stale|Buffered|FedProx' \
 		./internal/hfl/ ./internal/fednet/ ./internal/experiments/ ./internal/robust/
+
+# verify-secure runs the Paillier and secure-VFL gate: go vet on both
+# packages, their full test suites (MulPlain over edge scalars on both sides
+# of its sign branch, CRT decryption against the textbook λ/μ path, the
+# fixed-point overflow and non-finite regression tests, serial/parallel
+# bit-identity and the exact Paillier operation counts), and a
+# one-iteration smoke pass over the MulPlain, DecryptCRT and Encrypt
+# microbenches so they keep compiling and running. -count=1 defeats the
+# test cache.
+verify-secure:
+	$(GO) vet ./internal/paillier/ ./internal/vfl/
+	$(GO) test -count=1 ./internal/paillier/ ./internal/vfl/
+	$(GO) test -count=1 -run '^$$' -bench 'MulPlain|DecryptCRT|Encrypt$$' -benchtime 1x ./internal/paillier/
 
 # bench-json regenerates the perf-trajectory file for this revision: the
 # wire benchmark (bytes on wire, allocs per round, per codec) plus the

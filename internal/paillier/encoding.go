@@ -1,26 +1,82 @@
 package paillier
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/big"
 	"sync"
 
 	"digfl/internal/parallel"
 )
 
-// Scale is the default fixed-point scale: floats are encoded as
-// round(v·Scale) before encryption. 2^40 keeps ~12 decimal digits while
-// leaving ample headroom in a ≥256-bit modulus for the sums the VFL
-// protocol accumulates.
+// Scale is the default fixed-point scale: floats are encoded as v·Scale
+// truncated toward zero before encryption. 2^40 keeps ~12 decimal digits. A
+// product of two encodings sits at Scale², so in a 256-bit modulus about 175
+// bits remain for the magnitudes the VFL protocol multiplies and sums (the
+// headroom condition in DESIGN.md).
 const Scale = 1 << 40
 
-// Encode maps a float64 to a field element: non-negative values map to
-// round(v·Scale), negative values wrap to n − round(|v|·Scale).
-func (pk *PublicKey) Encode(v float64) *big.Int {
-	scaled := new(big.Int)
-	big.NewFloat(v * Scale).Int(scaled)
-	return scaled.Mod(scaled, pk.N)
+// ErrNonFinite reports a NaN or ±Inf handed to the fixed-point encoder.
+var ErrNonFinite = errors.New("paillier: non-finite value")
+
+// ErrOutOfRange reports a value whose fixed-point integer exceeds ⌊n/2⌋ in
+// magnitude: its encoding would wrap mod n and decode as another number.
+var ErrOutOfRange = errors.New("paillier: value outside the key's fixed-point range")
+
+var scaleInt = big.NewInt(Scale)
+
+// Encode maps a float64 to a field element: v·Scale truncated toward zero,
+// with a negative result wrapped to n − |v·Scale|. It refuses a non-finite v
+// (ErrNonFinite) and a v whose integer exceeds ⌊n/2⌋ in magnitude
+// (ErrOutOfRange), the values Decode could not read back.
+func (pk *PublicKey) Encode(v float64) (*big.Int, error) {
+	return pk.encode(v, 1)
+}
+
+// EncodeVec encodes every element of v at fixed-point scale Scale^level:
+// v·Scale truncated toward zero, then multiplied by Scale^(level−1) — the
+// level of a product of `level` Scale-level encodings, which
+// DecryptFloatAtScale reads back. It refuses what Encode refuses, at that
+// level, and reports the lowest-indexed such element.
+func (pk *PublicKey) EncodeVec(v []float64, level int) ([]*big.Int, error) {
+	if level < 1 {
+		return nil, fmt.Errorf("paillier: invalid scale level %d", level)
+	}
+	out := make([]*big.Int, len(v))
+	for i, x := range v {
+		m, err := pk.encode(x, level)
+		if err != nil {
+			return nil, fmt.Errorf("paillier: encoding element %d: %w", i, err)
+		}
+		out[i] = m
+	}
+	return out, nil
+}
+
+func (pk *PublicKey) encode(v float64, level int) (*big.Int, error) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return nil, fmt.Errorf("%w: %v", ErrNonFinite, v)
+	}
+	scaled := v * Scale
+	if math.IsInf(scaled, 0) {
+		return nil, fmt.Errorf("%w: %g", ErrOutOfRange, v)
+	}
+	m, _ := big.NewFloat(scaled).Int(nil)
+	for i := 1; i < level; i++ {
+		m.Mul(m, scaleInt)
+	}
+	half := getInt().Rsh(pk.N, 1)
+	over := m.CmpAbs(half) > 0
+	putInt(half)
+	if over {
+		return nil, fmt.Errorf("%w: %g at scale level %d", ErrOutOfRange, v, level)
+	}
+	if m.Sign() < 0 {
+		m.Add(m, pk.N)
+	}
+	return m, nil
 }
 
 // Decode inverts Encode: values above n/2 are interpreted as negative.
@@ -36,7 +92,11 @@ func (pk *PublicKey) Decode(m *big.Int) float64 {
 
 // EncryptFloat encrypts a float64 under the fixed-point encoding.
 func (pk *PublicKey) EncryptFloat(rnd io.Reader, v float64) (*Ciphertext, error) {
-	return pk.Encrypt(rnd, pk.Encode(v))
+	m, err := pk.Encode(v)
+	if err != nil {
+		return nil, err
+	}
+	return pk.Encrypt(rnd, m)
 }
 
 // DecryptFloat decrypts to a float64 under the fixed-point encoding.
@@ -139,15 +199,26 @@ func (pk *PublicKey) AddVec(a, b []*Ciphertext) []*Ciphertext {
 }
 
 // AddPlainFloat returns the encryption of a + v under fixed-point encoding.
-func (pk *PublicKey) AddPlainFloat(a *Ciphertext, v float64) *Ciphertext {
-	return pk.AddPlain(a, pk.Encode(v))
+// It refuses the values Encode refuses.
+func (pk *PublicKey) AddPlainFloat(a *Ciphertext, v float64) (*Ciphertext, error) {
+	m, err := pk.Encode(v)
+	if err != nil {
+		return nil, err
+	}
+	return pk.AddPlain(a, m), nil
 }
 
 // MulPlainFloat multiplies a ciphertext by a plaintext float. The plaintext
 // inside the result is at fixed-point scale Scale² (one extra Scale factor
 // per float multiplication) — decrypt it with DecryptFloatAtScale(ct, 2).
-func (pk *PublicKey) MulPlainFloat(a *Ciphertext, v float64) *Ciphertext {
-	return pk.MulPlain(a, pk.Encode(v))
+// It refuses the values Encode refuses; the Scale² product itself must stay
+// within ⌊n/2⌋, which no check on v alone can ensure.
+func (pk *PublicKey) MulPlainFloat(a *Ciphertext, v float64) (*Ciphertext, error) {
+	m, err := pk.Encode(v)
+	if err != nil {
+		return nil, err
+	}
+	return pk.MulPlain(a, m), nil
 }
 
 // DecryptFloatAtScale decrypts a ciphertext whose plaintext is at

@@ -34,16 +34,45 @@ type PublicKey struct {
 	N2 *big.Int // n²
 }
 
-// PrivateKey holds the decryption parameters. Decryption uses the CRT
-// split (exponentiation mod p² and q² instead of n²), the standard ~3–4×
-// speedup for Paillier.
+// PrivateKey holds the decryption parameters: the two prime factors of n,
+// each with what its half of the CRT decryption needs, and q⁻¹ mod p for
+// the recombination (Paillier '99 §7).
 type PrivateKey struct {
 	PublicKey
-	lambda *big.Int // lcm(p−1, q−1)
-	mu     *big.Int // (L(g^λ mod n²))⁻¹ mod n
-	p, q   *big.Int
-	p2, q2 *big.Int // p², q²
-	q2inv  *big.Int // (q²)⁻¹ mod p², for CRT recombination
+	fp, fq primeFactor
+	qinv   *big.Int // q⁻¹ mod p
+}
+
+// primeFactor is one prime p of n with the values that recover m mod p:
+// m_p = L_p(c^{p−1} mod p²)·h_p mod p, where L_p(x) = (x−1)/p. With
+// g = n+1, L_p(g^{p−1} mod p²) = −q mod p, so h_p = (−q)⁻¹ mod p.
+type primeFactor struct {
+	p, p2 *big.Int // p, p²
+	pm1   *big.Int // p−1
+	h     *big.Int // h_p = (−q)⁻¹ mod p, q the other factor
+}
+
+func newPrimeFactor(p, other *big.Int) (primeFactor, bool) {
+	negOther := new(big.Int).Neg(other)
+	h := new(big.Int).ModInverse(negOther.Mod(negOther, p), p)
+	return primeFactor{
+		p:   p,
+		p2:  new(big.Int).Mul(p, p),
+		pm1: new(big.Int).Sub(p, one),
+		h:   h,
+	}, h != nil
+}
+
+// decrypt returns m mod p for a ciphertext c. The exponent p−1 is half the
+// bits of λ = lcm(p−1, q−1), which is what makes this faster than c^λ.
+func (f *primeFactor) decrypt(c *big.Int) *big.Int {
+	red := getInt().Mod(c, f.p2)
+	x := getInt().Exp(red, f.pm1, f.p2)
+	putInt(red)
+	x.Sub(x, one)
+	x.Quo(x, f.p)
+	x.Mul(x, f.h)
+	return x.Mod(x, f.p)
 }
 
 // Ciphertext is an element of Z*_{n²}.
@@ -68,52 +97,19 @@ func GenerateKey(rnd io.Reader, bits int) (*PrivateKey, error) {
 		if p.Cmp(q) == 0 {
 			continue
 		}
+		fp, okp := newPrimeFactor(p, q)
+		fq, okq := newPrimeFactor(q, p)
+		qinv := new(big.Int).ModInverse(q, p)
+		if !okp || !okq || qinv == nil {
+			continue
+		}
 		n := new(big.Int).Mul(p, q)
-		n2 := new(big.Int).Mul(n, n)
-		pm1 := new(big.Int).Sub(p, one)
-		qm1 := new(big.Int).Sub(q, one)
-		gcd := new(big.Int).GCD(nil, nil, pm1, qm1)
-		lambda := new(big.Int).Div(new(big.Int).Mul(pm1, qm1), gcd)
-		// With g = n+1: L(g^λ mod n²) = λ mod n, so μ = λ⁻¹ mod n.
-		mu := new(big.Int).ModInverse(new(big.Int).Mod(lambda, n), n)
-		if mu == nil {
-			continue
-		}
-		p2 := new(big.Int).Mul(p, p)
-		q2 := new(big.Int).Mul(q, q)
-		q2inv := new(big.Int).ModInverse(q2, p2)
-		if q2inv == nil {
-			continue
-		}
 		return &PrivateKey{
-			PublicKey: PublicKey{N: n, N2: n2},
-			lambda:    lambda,
-			mu:        mu,
-			p:         p, q: q,
-			p2: p2, q2: q2,
-			q2inv: q2inv,
+			PublicKey: PublicKey{N: n, N2: new(big.Int).Mul(n, n)},
+			fp:        fp, fq: fq,
+			qinv: qinv,
 		}, nil
 	}
-}
-
-// expN2 computes c^λ mod n² via the CRT: two half-size exponentiations mod
-// p² and q² recombined with Garner's formula.
-func (sk *PrivateKey) expN2(c *big.Int) *big.Int {
-	red := getInt()
-	cp := getInt().Exp(red.Mod(c, sk.p2), sk.lambda, sk.p2)
-	cq := getInt().Exp(red.Mod(c, sk.q2), sk.lambda, sk.q2)
-	putInt(red)
-	// x = cq + q²·((cp − cq)·(q²)⁻¹ mod p²). cp doubles as the diff scratch
-	// and x is a fresh value the caller owns, so only cp/cq are recycled.
-	diff := cp.Sub(cp, cq)
-	diff.Mul(diff, sk.q2inv)
-	diff.Mod(diff, sk.p2)
-	x := new(big.Int).Mul(diff, sk.q2)
-	x.Add(x, cq)
-	x.Mod(x, sk.N2)
-	putInt(cp)
-	putInt(cq)
-	return x
 }
 
 // Encrypt encrypts m ∈ [0, n) with fresh randomness from rnd.
@@ -152,13 +148,17 @@ func (sk *PrivateKey) Decrypt(ct *Ciphertext) (*big.Int, error) {
 	if ct == nil || ct.C == nil || ct.C.Sign() <= 0 || ct.C.Cmp(sk.N2) >= 0 {
 		return nil, errors.New("paillier: ciphertext out of range")
 	}
-	u := sk.expN2(ct.C)
-	// L(u) = (u−1)/n
-	u.Sub(u, one)
-	u.Div(u, sk.N)
-	u.Mul(u, sk.mu)
-	u.Mod(u, sk.N)
-	return u, nil
+	// m = m_q + q·((m_p − m_q)·q⁻¹ mod p), which lies in [0, n).
+	mp := sk.fp.decrypt(ct.C)
+	mq := sk.fq.decrypt(ct.C)
+	mp.Sub(mp, mq)
+	mp.Mul(mp, sk.qinv)
+	mp.Mod(mp, sk.fp.p)
+	m := new(big.Int).Mul(mp, sk.fq.p)
+	m.Add(m, mq)
+	putInt(mp)
+	putInt(mq)
+	return m, nil
 }
 
 // Add returns the encryption of a+b given encryptions of a and b.
@@ -182,11 +182,25 @@ func (pk *PublicKey) AddPlain(a *Ciphertext, m *big.Int) *Ciphertext {
 }
 
 // MulPlain returns the encryption of k·a given an encryption of a and a
-// plaintext scalar k.
+// plaintext scalar k. A negative k reduces to n−|k|, a full-width exponent,
+// so when k mod n > n/2 the product is taken as (c⁻¹)^(n − k mod n): it
+// differs from c^(k mod n) by the factor c⁻ⁿ, an encryption of zero, so it
+// decrypts to the same k·a mod n at the cost of |k| bits of exponent. The
+// branch depends on the scalar's value (see README Caveats).
 func (pk *PublicKey) MulPlain(a *Ciphertext, k *big.Int) *Ciphertext {
-	kk := getInt().Mod(k, pk.N)
-	c := new(big.Int).Exp(a.C, kk, pk.N2)
-	putInt(kk)
+	pos := getInt().Mod(k, pk.N)
+	neg := getInt().Sub(pk.N, pos)
+	inv := getInt()
+	base, exp := a.C, pos
+	// A ciphertext sharing a factor with n has no inverse; it keeps the
+	// textbook exponent.
+	if neg.Cmp(pos) < 0 && inv.ModInverse(a.C, pk.N2) != nil {
+		base, exp = inv, neg
+	}
+	c := new(big.Int).Exp(base, exp, pk.N2)
+	putInt(pos)
+	putInt(neg)
+	putInt(inv)
 	return &Ciphertext{C: c}
 }
 

@@ -2,8 +2,10 @@ package paillier
 
 import (
 	"crypto/rand"
+	"errors"
 	"math"
 	"math/big"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -60,22 +62,45 @@ func TestHomomorphicAdd(t *testing.T) {
 
 func TestAddPlainAndMulPlain(t *testing.T) {
 	sk := testKey(t)
-	a, _ := sk.Encrypt(rand.Reader, big.NewInt(10))
+	const m = 10
+	a, _ := sk.Encrypt(rand.Reader, big.NewInt(m))
 	got, _ := sk.Decrypt(sk.AddPlain(a, big.NewInt(5)))
 	if got.Int64() != 15 {
 		t.Fatalf("AddPlain = %d", got.Int64())
 	}
-	got, _ = sk.Decrypt(sk.MulPlain(a, big.NewInt(7)))
-	if got.Int64() != 70 {
-		t.Fatalf("MulPlain = %d", got.Int64())
+	// MulPlain must decrypt to k·m mod n for every scalar, on both sides of
+	// its sign branch, and agree with the textbook product c^(k mod n).
+	n := sk.N
+	half := new(big.Int).Rsh(n, 1)
+	add := func(x *big.Int, d int64) *big.Int { return new(big.Int).Add(x, big.NewInt(d)) }
+	ks := []*big.Int{
+		big.NewInt(0), big.NewInt(1), big.NewInt(-1),
+		big.NewInt(1<<38 - 1), big.NewInt(-(1<<38 - 1)),
+		half, add(half, 1), add(n, -1), n, add(n, 5), new(big.Int).Neg(add(n, 3)),
 	}
-	// Negative scalar wraps correctly.
-	neg, _ := sk.Decrypt(sk.MulPlain(a, big.NewInt(-3)))
-	if sk.Decode(neg) != float64(-30)/Scale {
-		// Decode interprets mod-n wrap; -30 should come back as n-30.
-		want := new(big.Int).Sub(sk.N, big.NewInt(30))
-		if neg.Cmp(want) != 0 {
-			t.Fatalf("MulPlain(-3) = %v, want n-30", neg)
+	for i := 0; i < 8; i++ {
+		k, err := rand.Int(rand.Reader, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 {
+			k.Neg(k)
+		}
+		ks = append(ks, k)
+	}
+	for _, k := range ks {
+		want := new(big.Int).Mul(k, big.NewInt(m))
+		want.Mod(want, n)
+		got, err := sk.Decrypt(sk.MulPlain(a, k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		textbook, err := sk.Decrypt(&Ciphertext{C: new(big.Int).Exp(a.C, new(big.Int).Mod(k, n), sk.N2)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cmp(want) != 0 || textbook.Cmp(want) != 0 {
+			t.Fatalf("MulPlain(k=%v): got %v, textbook %v, want %v", k, got, textbook, want)
 		}
 	}
 }
@@ -139,7 +164,10 @@ func TestFloatHomomorphismProperty(t *testing.T) {
 func TestMulPlainFloatScaleLevel(t *testing.T) {
 	sk := testKey(t)
 	ct, _ := sk.EncryptFloat(rand.Reader, 2.5)
-	prod := sk.MulPlainFloat(ct, -4.0)
+	prod, err := sk.MulPlainFloat(ct, -4.0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, err := sk.DecryptFloatAtScale(prod, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +207,11 @@ func TestVectorHelpers(t *testing.T) {
 func TestAddPlainFloat(t *testing.T) {
 	sk := testKey(t)
 	ct, _ := sk.EncryptFloat(rand.Reader, 1.25)
-	got, err := sk.DecryptFloat(sk.AddPlainFloat(ct, -3.5))
+	sum, err := sk.AddPlainFloat(ct, -3.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sk.DecryptFloat(sum)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +237,42 @@ func TestErrors(t *testing.T) {
 	if _, err := sk.Decrypt(nil); err == nil {
 		t.Fatal("nil ciphertext must error")
 	}
+	// Fixed-point encoding refuses what it cannot represent instead of
+	// panicking (NaN), zeroing (±Inf) or wrapping mod n (|v|·Scale > n/2).
+	limit, _ := new(big.Float).Quo(new(big.Float).SetInt(new(big.Int).Rsh(sk.N, 1)), big.NewFloat(Scale)).Float64()
+	for _, c := range []struct {
+		v     float64
+		level int
+		want  error
+	}{
+		{math.NaN(), 1, ErrNonFinite},
+		{math.Inf(1), 1, ErrNonFinite},
+		{math.Inf(-1), 2, ErrNonFinite},
+		{2 * limit, 1, ErrOutOfRange},
+		{-2 * limit, 1, ErrOutOfRange},
+		{math.MaxFloat64, 1, ErrOutOfRange},
+		{2 * limit / Scale, 2, ErrOutOfRange},
+	} {
+		if _, err := sk.EncodeVec([]float64{0, c.v}, c.level); !errors.Is(err, c.want) || !strings.Contains(err.Error(), "element 1") {
+			t.Fatalf("EncodeVec(%v, level %d) = %v, want %v naming element 1", c.v, c.level, err, c.want)
+		}
+	}
+	if _, err := sk.EncryptFloat(rand.Reader, math.NaN()); !errors.Is(err, ErrNonFinite) {
+		t.Fatalf("EncryptFloat(NaN) = %v, want ErrNonFinite", err)
+	}
+	if _, err := sk.EncodeVec([]float64{1}, 0); err == nil {
+		t.Fatal("level 0 must error")
+	}
+	// The extremes of the range still round-trip.
+	for _, v := range []float64{limit / 2, -limit / 2} {
+		m, err := sk.Encode(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sk.Decode(m); math.Abs(got-v) > 1e-9*math.Abs(v) {
+			t.Fatalf("Decode(Encode(%g)) = %g", v, got)
+		}
+	}
 }
 
 func TestAddVecLengthMismatchPanics(t *testing.T) {
@@ -219,21 +287,36 @@ func TestAddVecLengthMismatchPanics(t *testing.T) {
 	sk.AddVec(a, b)
 }
 
-// CRT decryption must agree with the textbook single-exponentiation path.
+// CRT decryption must agree with the textbook single-exponentiation path
+// u = c^λ mod n², m = L(u)·μ mod n, with λ and μ derived from p and q.
 func TestCRTMatchesNaiveDecryption(t *testing.T) {
 	sk := testKey(t)
+	n := sk.N
+	pm1 := new(big.Int).Sub(sk.fp.p, big.NewInt(1))
+	qm1 := new(big.Int).Sub(sk.fq.p, big.NewInt(1))
+	lambda := new(big.Int).Mul(pm1, qm1)
+	lambda.Quo(lambda, new(big.Int).GCD(nil, nil, pm1, qm1))
+	// With g = n+1: L(g^λ mod n²) = λ mod n, so μ = λ⁻¹ mod n.
+	mu := new(big.Int).ModInverse(new(big.Int).Mod(lambda, n), n)
+	ms := []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Sub(n, big.NewInt(1)), new(big.Int).Rsh(n, 1)}
 	for i := int64(0); i < 20; i++ {
-		m := big.NewInt(1000003 * (i + 1))
+		ms = append(ms, big.NewInt(1000003*(i+1)))
+		m, err := rand.Int(rand.Reader, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms = append(ms, m)
+	}
+	for _, m := range ms {
 		ct, err := sk.Encrypt(rand.Reader, m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Naive path: u = c^λ mod n², m = L(u)·μ mod n.
-		u := new(big.Int).Exp(ct.C, sk.lambda, sk.N2)
+		u := new(big.Int).Exp(ct.C, lambda, sk.N2)
 		u.Sub(u, big.NewInt(1))
-		u.Div(u, sk.N)
-		u.Mul(u, sk.mu)
-		u.Mod(u, sk.N)
+		u.Div(u, n)
+		u.Mul(u, mu)
+		u.Mod(u, n)
 
 		got, err := sk.Decrypt(ct)
 		if err != nil {
@@ -272,6 +355,34 @@ func BenchmarkEncrypt(b *testing.B) {
 		if _, err := sk.Encrypt(rand.Reader, big.NewInt(987654321)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+var mulPlainSink *Ciphertext
+
+// BenchmarkMulPlain times one plaintext scalar multiplication at the
+// paper's 1024-bit key with the scalar Algorithm 3's step 4 produces: a
+// 38-bit magnitude, scale·x at Scale = 2^40, of either sign.
+func BenchmarkMulPlain(b *testing.B) {
+	sk, err := GenerateKey(rand.Reader, 1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ct, err := sk.Encrypt(rand.Reader, big.NewInt(987654321))
+	if err != nil {
+		b.Fatal(err)
+	}
+	const mag = 1<<38 - 12345
+	for _, c := range []struct {
+		name string
+		k    int64
+	}{{"pos", mag}, {"neg", -mag}} {
+		b.Run(c.name, func(b *testing.B) {
+			k := big.NewInt(c.k)
+			for i := 0; i < b.N; i++ {
+				mulPlainSink = sk.MulPlain(ct, k)
+			}
+		})
 	}
 }
 

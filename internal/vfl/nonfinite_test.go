@@ -5,6 +5,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"digfl/internal/obs"
+	"digfl/internal/paillier"
 )
 
 // nanWeights poisons one party's block weight.
@@ -78,6 +81,40 @@ func TestFailNonFiniteBitIdentityWhenHealthy(t *testing.T) {
 	for k := range a.ValLossCurve {
 		if a.ValLossCurve[k] != b.ValLossCurve[k] {
 			t.Fatalf("loss curve differs at %d", k)
+		}
+	}
+}
+
+// A divergent secure run must stop with an error once a value outgrows the
+// key's fixed-point headroom. Without the check the Scale² accumulation
+// wraps mod n and the run returns a θ₀ near 1e56 where the plaintext
+// trainer reaches −3.9e87.
+func TestSecureRejectsFixedPointOverflow(t *testing.T) {
+	_, err := RunSecureN(regProblem(7), SecureConfig{Epochs: 20, LR: 1e4, KeyBits: 256, MaskSeed: 1})
+	if !errors.Is(err, paillier.ErrOutOfRange) {
+		t.Fatalf("err = %v, want paillier.ErrOutOfRange", err)
+	}
+}
+
+// A non-finite value in any party's data must stop the secure protocol with
+// ErrNonFinite before it is encoded, on the serial and the pooled path.
+func TestSecureRejectsNonFinite(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		poison func(*Problem)
+	}{
+		{"train label", func(p *Problem) { p.Train.Y[3] = math.NaN() }},
+		{"party 3 train feature", func(p *Problem) { p.Train.X.Set(5, 4, math.Inf(1)) }},
+		{"party 2 val feature", func(p *Problem) { p.Val.X.Set(1, 2, math.Inf(-1)) }},
+	} {
+		for _, workers := range []int{1, 4} {
+			prob := regProblem(8)
+			c.poison(prob)
+			_, err := RunSecureN(prob, SecureConfig{Epochs: 2, LR: 0.05, KeyBits: 256, MaskSeed: 1,
+				Runtime: obs.Runtime{Workers: workers}})
+			if !errors.Is(err, ErrNonFinite) {
+				t.Fatalf("%s, workers=%d: err = %v, want ErrNonFinite", c.name, workers, err)
+			}
 		}
 	}
 }

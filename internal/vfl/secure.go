@@ -3,6 +3,7 @@ package vfl
 import (
 	"crypto/rand"
 	"fmt"
+	"math"
 	"math/big"
 	"runtime"
 	"sync"
@@ -304,7 +305,11 @@ func RunSecureN(prob *Problem, cfg SecureConfig) (*SecureNResult, error) {
 // its exact homomorphic-operation count to the sink: per call with m
 // samples, n parties and D total features that is m encryptions,
 // m·(n−1) + D·m additions (ring folds, accumulation combines, masks),
-// m·D plaintext multiplications and D decryptions.
+// m·D plaintext multiplications and D decryptions. Before a party encodes
+// any of its values it checks them against its share of the key's
+// fixed-point headroom (see headroom), so a non-finite value stops the
+// protocol with ErrNonFinite and a value the key could not carry with
+// paillier.ErrOutOfRange, never with a silently wrapped plaintext.
 func secureGradientN(sk *paillier.PrivateKey, parties []*secureParty, y []float64, useVal bool, spec residualSpec, maskRNG *tensor.RNG, workers int, sink obs.Sink) (grads [][]float64, ciphertexts int64, err error) {
 	pk := &sk.PublicKey
 	feats := func(p *secureParty) *tensor.Matrix {
@@ -317,12 +322,16 @@ func secureGradientN(sk *paillier.PrivateKey, parties []*secureParty, y []float6
 		return nil, 0, fmt.Errorf("labels (%d) do not match feature rows (%d)", len(y), feats(parties[0]).Rows)
 	}
 	m := len(y)
+	room := newHeadroom(pk, len(parties))
 
 	// Step 2: party 1 starts the residual ring with its encrypted share.
 	u1 := tensor.MatVec(feats(parties[0]), parties[0].theta)
 	e := make([]float64, m)
 	for i := range e {
 		e[i] = spec.p1Res(u1[i], y[i])
+	}
+	if err := within("party 1 residual share", e, room.share); err != nil {
+		return nil, 0, err
 	}
 	encD, err := pk.EncryptVecN(rand.Reader, e, workers)
 	if err != nil {
@@ -333,10 +342,20 @@ func secureGradientN(sk *paillier.PrivateKey, parties []*secureParty, y []float6
 
 	// Step 3 (ring): every other party folds in its local result; the
 	// completed [[d]] is then broadcast to all n parties.
-	for _, p := range parties[1:] {
+	for pi, p := range parties[1:] {
 		u := tensor.MatVec(feats(p), p.theta)
+		for i := range u {
+			u[i] *= spec.u2Coeff
+		}
+		if err := within(fmt.Sprintf("party %d residual share", pi+2), u, room.share); err != nil {
+			return nil, 0, err
+		}
+		shares, err := pk.EncodeVec(u, 1)
+		if err != nil {
+			return nil, 0, err
+		}
 		parallel.ForObs(m, workers, sink, func(i int) {
-			encD[i] = pk.AddPlainFloat(encD[i], spec.u2Coeff*u[i])
+			encD[i] = pk.AddPlain(encD[i], shares[i])
 		})
 		obs.Emit(sink, obs.Event{Kind: obs.KindPaillierAdd, N: int64(m)})
 		ciphertexts += int64(m) // forwarding [[d]] along the ring
@@ -352,6 +371,33 @@ func secureGradientN(sk *paillier.PrivateKey, parties []*secureParty, y []float6
 		masks := maskRNG.NormalVec(d, 0, 10)
 		enc := make([]*paillier.Ciphertext, d)
 		scale := spec.scale(m)
+		norms := make([]float64, d)
+		for j := range norms {
+			for i := 0; i < m; i++ {
+				norms[j] += math.Abs(scale * x.At(i, j))
+			}
+		}
+		if err := within(fmt.Sprintf("party %d feature column ℓ1 norm", pi+1), norms, room.column); err != nil {
+			return nil, 0, err
+		}
+		if err := within(fmt.Sprintf("party %d mask", pi+1), masks, room.mask); err != nil {
+			return nil, 0, err
+		}
+		// ks[j][i] encodes the scalar scale·x_ij.
+		ks := make([][]*big.Int, d)
+		col := make([]float64, m)
+		for j := range ks {
+			for i := range col {
+				col[i] = scale * x.At(i, j)
+			}
+			if ks[j], err = pk.EncodeVec(col, 1); err != nil {
+				return nil, 0, err
+			}
+		}
+		maskInts, err := pk.EncodeVec(masks, 2)
+		if err != nil {
+			return nil, 0, err
+		}
 		// Each feature's accumulation Σ_i [[d_i]]·scale·x_ij is a modular
 		// product, so any association yields the same ciphertext bits.
 		// Parallelize across features when there are enough of them to
@@ -359,16 +405,16 @@ func secureGradientN(sk *paillier.PrivateKey, parties []*secureParty, y []float6
 		// shared map/reduce (a wide-but-short gradient block).
 		accumulate := func(j, innerWorkers int) *paillier.Ciphertext {
 			return parallel.MapReduce(m, innerWorkers, 0, func(i int) *paillier.Ciphertext {
-				return pk.MulPlainFloat(encD[i], scale*x.At(i, j))
+				return pk.MulPlain(encD[i], ks[j][i])
 			}, pk.Add)
 		}
 		if d >= workers {
 			parallel.ForObs(d, workers, sink, func(j int) {
-				enc[j] = pk.AddPlain(accumulate(j, 1), encodeAtScale2(pk, masks[j]))
+				enc[j] = pk.AddPlain(accumulate(j, 1), maskInts[j])
 			})
 		} else {
 			for j := 0; j < d; j++ {
-				enc[j] = pk.AddPlain(accumulate(j, workers), encodeAtScale2(pk, masks[j]))
+				enc[j] = pk.AddPlain(accumulate(j, workers), maskInts[j])
 			}
 		}
 		// Per feature: m plaintext multiplications, m−1 accumulation
@@ -401,11 +447,43 @@ func secureGradientN(sk *paillier.PrivateKey, parties []*secureParty, y []float6
 	return grads, ciphertexts, nil
 }
 
-// encodeAtScale2 encodes a float at fixed-point scale Scale², the level of a
-// ciphertext that went through one MulPlainFloat.
-func encodeAtScale2(pk *paillier.PublicKey, v float64) *big.Int {
-	s := new(big.Int)
-	big.NewFloat(v * paillier.Scale).Int(s)
-	s.Mul(s, big.NewInt(paillier.Scale))
-	return s.Mod(s, pk.N)
+// headroom holds the limits each party checks its own values against before
+// it encodes them, so that no Step 4 plaintext wraps mod n. Feature j's
+// decrypted integer is Σ_i X_ij·D_i + M_j at Scale², where X_ij encodes
+// scale·x_ij, D_i is the sum of the P parties' encoded residual shares and
+// M_j the mask, and it reads back correctly only while its magnitude stays
+// within h = ⌊n/2⌋. No party sees D_i, so the bound is split: every residual
+// share within √h/P (then |D_i| ≤ √h), every column's Σ_i |X_ij| within √h/4
+// and every mask within h/4. The worst case is h/2, and the spare factor 2
+// absorbs float rounding in the checks. Limits are in value units, i.e.
+// divided by Scale (Scale² for the mask).
+type headroom struct{ share, column, mask float64 }
+
+func newHeadroom(pk *paillier.PublicKey, parties int) headroom {
+	h := new(big.Int).Rsh(pk.N, 1)
+	root := new(big.Int).Sqrt(h)
+	quo := func(x *big.Int, d float64) float64 {
+		f, _ := new(big.Float).Quo(new(big.Float).SetInt(x), big.NewFloat(d)).Float64()
+		return f
+	}
+	return headroom{
+		share:  quo(root, float64(parties)*paillier.Scale),
+		column: quo(root, 4*paillier.Scale),
+		mask:   quo(h, 4*paillier.Scale*paillier.Scale),
+	}
+}
+
+// within reports the first of vals that is non-finite (ErrNonFinite) or
+// larger in magnitude than limit (paillier.ErrOutOfRange).
+func within(what string, vals []float64, limit float64) error {
+	for i, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%s %d is %v: %w", what, i, v, ErrNonFinite)
+		}
+		if math.Abs(v) > limit {
+			return fmt.Errorf("%s %d = %g exceeds the key's fixed-point limit %g: %w",
+				what, i, v, limit, paillier.ErrOutOfRange)
+		}
+	}
+	return nil
 }
